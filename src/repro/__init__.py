@@ -41,85 +41,61 @@ The original blocking façade (:class:`NeuralFaultInjector`) is kept as a thin
 adapter over the engine — see docs/API.md for the migration guide.
 """
 
-from .api import (
-    CampaignRequest,
-    DatasetRequest,
-    FaultInjectionEngine,
-    GenerateRequest,
-    Response,
-    RLHFRequest,
-)
-from .config import (
-    ChaosConfig,
-    DatasetConfig,
-    EngineConfig,
-    ExecutionConfig,
-    IntegrationConfig,
-    ModelConfig,
-    PipelineConfig,
-    ResilienceConfig,
-    RLHFConfig,
-    ServerConfig,
-    SFTConfig,
-)
-from .core import (
-    CampaignOrchestrator,
-    ComparisonResult,
-    NeuralFaultInjector,
-    RefinementSession,
-    WorkflowTrace,
-)
-from .errors import ReproError
-from .server import FaultInjectionServer
-from .types import (
-    FailureMode,
-    FaultDescription,
-    FaultSpec,
-    FaultType,
-    Feedback,
-    GeneratedFault,
-    HandlingStyle,
-    InjectionOutcome,
-    Patch,
-    TriggerKind,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CampaignOrchestrator",
-    "CampaignRequest",
-    "ChaosConfig",
-    "ComparisonResult",
-    "DatasetConfig",
-    "DatasetRequest",
-    "EngineConfig",
-    "ExecutionConfig",
-    "FailureMode",
-    "FaultInjectionEngine",
-    "FaultInjectionServer",
-    "GenerateRequest",
-    "RLHFRequest",
-    "Response",
-    "FaultDescription",
-    "FaultSpec",
-    "FaultType",
-    "Feedback",
-    "GeneratedFault",
-    "HandlingStyle",
-    "IntegrationConfig",
-    "InjectionOutcome",
-    "ModelConfig",
-    "NeuralFaultInjector",
-    "Patch",
-    "PipelineConfig",
-    "RLHFConfig",
-    "RefinementSession",
-    "ReproError",
-    "ResilienceConfig",
-    "SFTConfig",
-    "ServerConfig",
-    "TriggerKind",
-    "WorkflowTrace",
-    "__version__",
-]
+#: Public name → the submodule that defines it.  Names load on first access
+#: (PEP 562), so ``import repro.targets`` — which every subprocess sandbox
+#: run pays for — does not import the serving, model and NLP stacks.
+_EXPORTS = {
+    "CampaignOrchestrator": "core",
+    "CampaignRequest": "api",
+    "ChaosConfig": "config",
+    "ComparisonResult": "core",
+    "DatasetConfig": "config",
+    "DatasetRequest": "api",
+    "EngineConfig": "config",
+    "ExecutionConfig": "config",
+    "FailureMode": "types",
+    "FaultDescription": "types",
+    "FaultInjectionEngine": "api",
+    "FaultInjectionServer": "server",
+    "FaultSpec": "types",
+    "FaultType": "types",
+    "Feedback": "types",
+    "GenerateRequest": "api",
+    "GeneratedFault": "types",
+    "HandlingStyle": "types",
+    "InjectionOutcome": "types",
+    "IntegrationConfig": "config",
+    "ModelConfig": "config",
+    "NeuralFaultInjector": "core",
+    "Patch": "types",
+    "PipelineConfig": "config",
+    "RLHFConfig": "config",
+    "RLHFRequest": "api",
+    "RefinementSession": "core",
+    "ReproError": "errors",
+    "ResilienceConfig": "config",
+    "Response": "api",
+    "SFTConfig": "config",
+    "ServerConfig": "config",
+    "TriggerKind": "types",
+    "WorkflowTrace": "core",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

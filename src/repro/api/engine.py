@@ -16,7 +16,8 @@ Concurrent :class:`~repro.api.GenerateRequest` submissions are coalesced by
 the continuous-batching :class:`~repro.api.scheduler.Scheduler` into single
 ``forward_batch`` generation passes and pooled ``run_many`` sandbox batches,
 while per-request seeds keep every result identical to running the request
-alone (see docs/API.md).
+alone (see docs/API.md).  Sandbox batches run on the scheduler's sandbox
+threads, so a hung mutant never holds the dispatch thread.
 
 The engine also keeps the pre-existing imperative stage methods
 (:meth:`define_fault`, :meth:`generate_fault`, :meth:`run_workflow`, ...);
@@ -26,6 +27,7 @@ thin adapter over them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import pickle
 import queue
@@ -68,6 +70,9 @@ from .responses import (
 from .scheduler import ResponseHandle, Scheduler, Ticket
 
 FeedbackProvider = Callable[[FaultSpec, GenerationCandidate], str | None]
+
+#: A decoded generate ticket: ``(ticket, candidate, decode_seconds)``.
+_Generated = tuple[Ticket, GenerationCandidate, float]
 
 _REQUEST_TYPES = (GenerateRequest, DatasetRequest, CampaignRequest, RLHFRequest)
 
@@ -115,6 +120,7 @@ class FaultInjectionEngine:
             dispatch_single=self._process_single,
             max_batch_size=self.config.engine.resolved_batch_size(self.config.execution),
             max_queue_delay_seconds=self.config.engine.max_queue_delay_seconds,
+            sandbox_workers=self.config.execution.resolved_workers(),
         )
 
     # -- lifecycle -------------------------------------------------------------------
@@ -123,10 +129,11 @@ class FaultInjectionEngine:
         """Drain in-flight requests and release every owned resource.
 
         Queued requests still resolve (close is graceful); afterwards the
-        scheduler thread is stopped, the dataset generator's validation
-        runner and every per-target experiment runner (worker pools, scratch
-        dirs) are closed.  Idempotent; further :meth:`submit`/:meth:`run`
-        calls raise :class:`~repro.errors.EngineClosedError`.
+        scheduler's dispatch and sandbox threads are stopped, the dataset
+        generator's validation runner and every per-target experiment runner
+        (worker pools, scratch dirs) are closed.  Idempotent; further
+        :meth:`submit`/:meth:`run` calls raise
+        :class:`~repro.errors.EngineClosedError`.
         """
         with self._lock:
             self._closed = True
@@ -211,7 +218,8 @@ class FaultInjectionEngine:
 
     @property
     def queue_depth(self) -> int:
-        """Tickets currently waiting in the scheduler queue (admission control)."""
+        """Tickets waiting for the dispatch thread or a sandbox slot (admission
+        control)."""
         return self._scheduler.queue_depth
 
     def serving_stats(self) -> dict:
@@ -601,9 +609,12 @@ class FaultInjectionEngine:
 
         The NLP stage runs through the extractor's batched, cache-assisted
         path; generation shares one batched forward pass across every
-        surviving ticket; execution groups faults per (target, mode) into
-        pooled sandbox batches.  Per-ticket failures resolve that ticket's
-        handle with an error envelope without disturbing the rest.
+        surviving ticket.  Generate-only tickets resolve right after decode;
+        execute tickets are grouped per (target, mode) and each group is
+        offloaded to a sandbox thread (:meth:`_execute_group`), so the
+        dispatch thread never waits on a sandbox.  Per-ticket failures
+        resolve that ticket's handle with an error envelope without
+        disturbing the rest.
         """
         dispatch_started = time.monotonic()
         live: list[tuple[Ticket, GenerationPrompt]] = []
@@ -624,8 +635,7 @@ class FaultInjectionEngine:
             for ticket, _prompt in live:
                 self._resolve_error(ticket, exc, dispatch_started)
             return
-        survivors: list[tuple[Ticket, GenerationCandidate]] = []
-        decode_seconds: dict[int, float] = {}
+        groups: dict[tuple[str, str], list[_Generated]] = {}
         for row, (ticket, prompt) in enumerate(live):
             if self._resolve_if_expired(ticket, dispatch_started, "before decoding"):
                 continue
@@ -647,20 +657,19 @@ class FaultInjectionEngine:
             except ReproError as exc:
                 self._resolve_error(ticket, exc, dispatch_started)
                 continue
-            decode_seconds[id(ticket)] = time.monotonic() - decode_started
-            survivors.append((ticket, candidate))
+            generated = (ticket, candidate, time.monotonic() - decode_started)
+            if request.execute:
+                key = (request.target, self._resolve_mode(request.mode))
+                groups.setdefault(key, []).append(generated)
+            else:
+                self._resolve_generated(generated, None, dispatch_started, len(live))
 
-        outcomes = self._execution_stage(survivors, dispatch_started, batch_size=len(live))
-        for ticket, candidate in survivors:
-            if id(ticket) not in outcomes and ticket.request.execute:
-                continue  # already resolved with an execution error
-            if self._resolve_if_expired(ticket, dispatch_started, "before the response was built"):
-                continue
-            payload = GeneratePayload.from_candidate(
-                candidate, outcome=outcomes.get(id(ticket)), batch_size=len(live)
-            )
-            self._resolve_ok(
-                ticket, payload, dispatch_started, decode_seconds=decode_seconds[id(ticket)]
+        for (target, mode), members in groups.items():
+            self._scheduler.offload(
+                functools.partial(
+                    self._execute_group, target, mode, members, dispatch_started, len(live)
+                ),
+                [ticket for ticket, _candidate, _decode in members],
             )
 
     def _nlp_stage(
@@ -718,72 +727,80 @@ class FaultInjectionEngine:
                 results.append((ticket, None, exc))
         return results
 
-    def _execution_stage(
+    def _execute_group(
         self,
-        survivors: list[tuple[Ticket, GenerationCandidate]],
+        target: str,
+        mode: str,
+        members: list[_Generated],
         dispatch_started: float,
-        batch_size: int = 1,
-    ) -> dict[int, InjectionOutcome]:
-        """Stages 5–6 for the batch: pooled sandbox runs grouped per target/mode.
+        batch_size: int,
+    ) -> None:
+        """Stages 5–6 for one (target, mode) group, on a sandbox thread.
 
-        Each (target, mode) plane is guarded by its circuit breaker: while the
-        breaker is open, generate tickets degrade gracefully — the generated
-        fault is still returned (``status="degraded"``, ``outcome=None``)
-        with an ``ErrorInfo(kind="unavailable")`` attached instead of queueing
-        more work behind a failing plane.  Transient sandbox errors are
-        retried under the engine's deterministic
+        The group runs as one pooled sandbox batch and its tickets resolve
+        together when the batch returns.  The plane is guarded by its
+        circuit breaker: while the breaker is open, tickets degrade
+        gracefully — the generated fault is still returned
+        (``status="degraded"``, ``outcome=None``) with an
+        ``ErrorInfo(kind="unavailable")`` attached instead of queueing more
+        work behind a failing plane.  Transient sandbox errors are retried
+        under the engine's deterministic
         :class:`~repro.resilience.RetryPolicy`, and per-ticket deadlines
         clamp the sandbox task budget.
         """
-        groups: dict[tuple[str, str], list[tuple[Ticket, GenerationCandidate]]] = {}
-        for ticket, candidate in survivors:
-            request = ticket.request
-            if not request.execute:
-                continue
-            key = (request.target, self._resolve_mode(request.mode))
-            groups.setdefault(key, []).append((ticket, candidate))
+        live = [
+            member
+            for member in members
+            if not self._resolve_if_expired(member[0], dispatch_started, "before sandbox execution")
+        ]
+        if not live:
+            return
 
-        outcomes: dict[int, InjectionOutcome] = {}
-        for (target, mode), members in groups.items():
-            live: list[tuple[Ticket, GenerationCandidate]] = []
-            for ticket, candidate in members:
-                if not self._resolve_if_expired(ticket, dispatch_started, "before sandbox execution"):
-                    live.append((ticket, candidate))
-            if not live:
-                continue
+        breaker = self._breakers.get(target, mode)
+        if not breaker.allow():
+            error = CircuitOpenError(
+                f"execution plane '{target}:{mode}' is failing fast; "
+                f"retry after {breaker.retry_after():.0f}s",
+                key=breaker.key,
+            )
+            for ticket, candidate, _decode in live:
+                self._resolve_degraded(ticket, candidate, error, dispatch_started, batch_size)
+            return
 
-            breaker = self._breakers.get(target, mode)
-            if not breaker.allow():
-                error = CircuitOpenError(
-                    f"execution plane '{target}:{mode}' is failing fast; "
-                    f"retry after {breaker.retry_after():.0f}s",
-                    key=breaker.key,
-                )
-                for ticket, candidate in live:
-                    self._resolve_degraded(ticket, candidate, error, dispatch_started, batch_size)
-                continue
+        deadlines = [t.deadline for t, _, _ in live if t.deadline is not None]
+        tightest = min(deadlines, key=lambda d: d.expires_at) if deadlines else None
+        timeout_override = tightest.clamp(self.config.integration.test_timeout_seconds) if tightest else None
+        runner = self._runner_for(target)
+        faults = [candidate.fault for _, candidate, _ in live]
+        try:
+            batch = self._retry.run(
+                lambda: runner.run_many(faults, mode=mode, timeout_seconds=timeout_override),
+                key=f"{target}:{mode}",
+                retry_on=(ReproError,),
+                deadline=tightest,
+            )
+        except ReproError as exc:
+            breaker.record_failure()
+            for ticket, _candidate, _decode in live:
+                self._resolve_error(ticket, exc, dispatch_started)
+            return
+        breaker.record_success()
+        for generated, record in zip(live, batch.records):
+            self._resolve_generated(generated, record.outcome, dispatch_started, batch_size)
 
-            deadlines = [t.deadline for t, _ in live if t.deadline is not None]
-            tightest = min(deadlines, key=lambda d: d.expires_at) if deadlines else None
-            timeout_override = tightest.clamp(self.config.integration.test_timeout_seconds) if tightest else None
-            runner = self._runner_for(target)
-            faults = [candidate.fault for _, candidate in live]
-            try:
-                batch = self._retry.run(
-                    lambda: runner.run_many(faults, mode=mode, timeout_seconds=timeout_override),
-                    key=f"{target}:{mode}",
-                    retry_on=(ReproError,),
-                    deadline=tightest,
-                )
-            except ReproError as exc:
-                breaker.record_failure()
-                for ticket, _candidate in live:
-                    self._resolve_error(ticket, exc, dispatch_started)
-                continue
-            breaker.record_success()
-            for (ticket, _candidate), record in zip(live, batch.records):
-                outcomes[id(ticket)] = record.outcome
-        return outcomes
+    def _resolve_generated(
+        self,
+        generated: _Generated,
+        outcome: InjectionOutcome | None,
+        dispatch_started: float,
+        batch_size: int,
+    ) -> None:
+        """Resolve a generate ticket with its fault (and sandbox outcome)."""
+        ticket, candidate, decode_seconds = generated
+        if self._resolve_if_expired(ticket, dispatch_started, "before the response was built"):
+            return
+        payload = GeneratePayload.from_candidate(candidate, outcome=outcome, batch_size=batch_size)
+        self._resolve_ok(ticket, payload, dispatch_started, decode_seconds=decode_seconds)
 
     def _resolve_degraded(
         self,

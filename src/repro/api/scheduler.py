@@ -16,7 +16,10 @@ batching in LLM serving engines (sglang-like):
   concurrent clients can coalesce;
 * within a batch, requests that ask for execution are grouped by target and
   run as pooled sandbox batches (``run_many``/``run_batch``), which is where
-  the order-of-magnitude serving win comes from;
+  the order-of-magnitude serving win comes from.  Each group is handed to
+  a sandbox thread (:meth:`Scheduler.offload`), so the dispatch thread runs
+  only NLP, the forward pass and decode, and a hung mutant holds one
+  sandbox slot instead of every later request;
 * dataset / campaign / RLHF tickets are heavyweight and run alone, in queue
   order.
 
@@ -31,9 +34,10 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future, TimeoutError as FutureTimeoutError
+from concurrent.futures import Future, ThreadPoolExecutor, TimeoutError as FutureTimeoutError
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from ..errors import DeadlineExceededError, EngineClosedError, RequestCancelledError
 from ..resilience import Deadline
@@ -159,8 +163,10 @@ class Scheduler:
 
     The scheduler does not know how to execute requests; the owning
     :class:`~repro.api.FaultInjectionEngine` passes the two dispatch
-    callbacks.  The dispatch thread is started lazily on first submit and
-    torn down by :meth:`close`.
+    callbacks and hands sandbox work to the scheduler's sandbox threads
+    through :meth:`offload`.  The dispatch thread is started lazily on first
+    submit, sandbox threads on first offload; :meth:`close` drains and stops
+    both.
     """
 
     def __init__(
@@ -169,16 +175,20 @@ class Scheduler:
         dispatch_single: Callable[[Ticket], None],
         max_batch_size: int,
         max_queue_delay_seconds: float,
+        sandbox_workers: int = 1,
     ) -> None:
         """Initialise the scheduler.
 
         Args:
             dispatch_batch: Callback executing a coalesced list of generate
-                tickets (it must resolve every ticket's handle).
+                tickets (it must resolve every ticket's handle, or hand the
+                ticket to :meth:`offload`).
             dispatch_single: Callback executing one non-generate ticket.
             max_batch_size: Most generate tickets coalesced per dispatch.
             max_queue_delay_seconds: How long a dispatch waits for more
                 arrivals after the first ticket is picked up.
+            sandbox_workers: Sandbox threads serving :meth:`offload`; at
+                most this many offloaded tasks run at once.
         """
         self._dispatch_batch = dispatch_batch
         self._dispatch_single = dispatch_single
@@ -187,6 +197,11 @@ class Scheduler:
         self._queue: deque[Ticket] = deque()
         self._cond = threading.Condition()
         self._thread: threading.Thread | None = None
+        self._sandbox = ThreadPoolExecutor(
+            max_workers=max(1, int(sandbox_workers)), thread_name_prefix="repro-sandbox"
+        )
+        self._awaiting_slot = 0
+        self._held = 0
         self._closed = False
         self.stats = SchedulerStats()
 
@@ -194,9 +209,14 @@ class Scheduler:
 
     @property
     def queue_depth(self) -> int:
-        """Tickets currently waiting in the queue (serving observability)."""
+        """Tickets waiting for the dispatch thread or for a sandbox slot.
+
+        Admission control sheds on this number, so a burst of execute
+        requests queued behind busy sandbox threads is shed like a burst
+        queued behind the dispatch thread.
+        """
         with self._cond:
-            return len(self._queue)
+            return len(self._queue) + self._awaiting_slot
 
     def submit(self, ticket: Ticket) -> None:
         """Enqueue a ticket (thread-safe); starts the dispatch thread lazily.
@@ -250,27 +270,62 @@ class Scheduler:
         return True
 
     def close(self) -> None:
-        """Drain the queue, stop the dispatch thread, and reject new submits.
+        """Drain the queue and the sandbox threads, and reject new submits.
 
         Already-queued tickets are still executed (close is graceful), so
-        every handle obtained before ``close`` resolves.  Idempotent.
+        every handle obtained before ``close`` resolves: the dispatch thread
+        drains the queue first, then every offloaded task runs to completion.
+        A :meth:`held` queue is released.  Idempotent.
         """
         with self._cond:
-            if self._closed:
-                thread = self._thread
-            else:
-                self._closed = True
-                thread = self._thread
-                self._cond.notify_all()
+            self._closed = True
+            thread = self._thread
+            self._cond.notify_all()
         if thread is not None and thread is not threading.current_thread():
             thread.join()
+        self._sandbox.shutdown(wait=True)
+
+    @contextmanager
+    def held(self) -> Iterator[None]:
+        """Keep the dispatch thread from taking tickets while the block runs.
+
+        A test seam: tickets submitted inside the block stay queued — so
+        they count toward :attr:`queue_depth`, can expire, and can be
+        cancelled — until the block exits.  A ticket the dispatch thread
+        already took is not recalled.
+        """
+        with self._cond:
+            self._held += 1
+        try:
+            yield
+        finally:
+            with self._cond:
+                self._held -= 1
+                self._cond.notify_all()
+
+    def offload(self, work: Callable[[], None], tickets: list[Ticket]) -> None:
+        """Run ``work`` on a sandbox thread; it must resolve every ticket.
+
+        Until a sandbox thread picks the task up, its tickets count toward
+        :attr:`queue_depth`.  They have left the queue, so they can no
+        longer be cancelled.  Should ``work`` raise, every ticket it left
+        unresolved resolves with an error envelope.
+        """
+        with self._cond:
+            self._awaiting_slot += len(tickets)
+        self._sandbox.submit(self._run_offloaded, work, tickets)
+
+    def _run_offloaded(self, work: Callable[[], None], tickets: list[Ticket]) -> None:
+        with self._cond:
+            self._awaiting_slot -= len(tickets)
+        self._dispatch(work, tickets)
 
     # -- dispatch loop ---------------------------------------------------------------
 
     def _loop(self) -> None:
         while True:
             with self._cond:
-                while not self._queue and not self._closed:
+                while not self._closed and (self._held or not self._queue):
                     self._cond.wait()
                 if not self._queue:
                     return
@@ -285,10 +340,10 @@ class Scheduler:
                 self.stats.record(
                     "generate", len(batch), sorted({t.request.target or "" for t in batch})
                 )
-                self._dispatch(self._dispatch_batch, batch)
+                self._dispatch(lambda: self._dispatch_batch(batch), batch)
             else:
                 self.stats.record(head.request.kind, 1, [])
-                self._dispatch(lambda tickets: self._dispatch_single(tickets[0]), [head])
+                self._dispatch(lambda: self._dispatch_single(head), [head])
 
     def _expire(self, ticket: Ticket) -> bool:
         """Resolve a ticket whose deadline elapsed while it queued."""
@@ -310,16 +365,16 @@ class Scheduler:
             )
         )
 
-    def _dispatch(self, callback: Callable[[list[Ticket]], None], tickets: list[Ticket]) -> None:
-        """Run a dispatch callback, resolving stranded handles on failure.
+    def _dispatch(self, work: Callable[[], None], tickets: list[Ticket]) -> None:
+        """Run dispatch or sandbox work, resolving stranded handles on failure.
 
         Expected errors are turned into error envelopes inside the engine's
         callbacks; this is the last line of defence so an unexpected
-        exception can never kill the dispatch thread or leave a client
+        exception can never kill a serving thread or leave a client
         blocked on an unresolved handle forever.
         """
         try:
-            callback(tickets)
+            work()
         except Exception as exc:  # noqa: BLE001 - serving loop must survive anything
             for ticket in tickets:
                 if not ticket.handle.done():

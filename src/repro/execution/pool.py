@@ -35,9 +35,10 @@ from __future__ import annotations
 import os
 import signal
 import threading
-from concurrent.futures import CancelledError, ProcessPoolExecutor, TimeoutError as FutureTimeoutError
+from concurrent.futures import CancelledError, Future, ProcessPoolExecutor, TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, Iterator
 
 from ..config import ResilienceConfig
 from ..errors import SandboxError
@@ -146,6 +147,10 @@ class WorkerPool:
 
     The executor is created lazily and rebuilt automatically if a task wedges
     or kills a worker, so one pathological fault cannot poison a campaign.
+    Several threads may run batches on one pool at once: their parallel
+    rounds share the workers, while a rerun of suspected pool killers waits
+    to run alone, so a worker death during it is still attributable to its
+    task.  The supervision counters are updated under the pool's lock.
     With supervision enabled (the default), victims of a worker death are
     requeued under a bounded retry budget and repeat offenders are
     quarantined; with ``resilience.supervise`` off the pool falls back to the
@@ -179,6 +184,10 @@ class WorkerPool:
         self.resilience = resilience if resilience is not None else ResilienceConfig()
         self._executor: ProcessPoolExecutor | None = None
         self._lock = threading.Lock()
+        self._rounds = threading.Condition()
+        self._shared_rounds = 0
+        self._solo_waiting = 0
+        self._solo_running = False
         self.tasks_executed = 0
         self.pool_rebuilds = 0
         self.retries = 0
@@ -195,14 +204,18 @@ class WorkerPool:
                 )
             return self._executor
 
-    def _recycle(self) -> None:
-        """Terminate every worker and force the next submission to rebuild."""
+    def _recycle(self, executor: ProcessPoolExecutor) -> None:
+        """Terminate ``executor``'s workers and force the next submission to
+        rebuild.
+
+        A no-op when a concurrent batch already replaced ``executor``: the
+        replacement is healthy and may be running that batch's tasks.
+        """
         with self._lock:
-            executor = self._executor
+            if executor is not self._executor:
+                return
             self._executor = None
-        if executor is None:
-            return
-        self.pool_rebuilds += 1
+            self.pool_rebuilds += 1
         processes = list(getattr(executor, "_processes", {}).values())
         for process in processes:
             process.terminate()
@@ -226,18 +239,19 @@ class WorkerPool:
             return True
         processes = list(getattr(executor, "_processes", {}).values())
         if processes and not all(process.is_alive() for process in processes):
-            self._recycle()
+            self._recycle(executor)
             return False
         return True
 
     def stats(self) -> dict[str, int]:
         """Supervision counters for ``/v1/stats``."""
-        return {
-            "tasks_executed": self.tasks_executed,
-            "pool_rebuilds": self.pool_rebuilds,
-            "retries": self.retries,
-            "quarantined": self.quarantined,
-        }
+        with self._lock:
+            return {
+                "tasks_executed": self.tasks_executed,
+                "pool_rebuilds": self.pool_rebuilds,
+                "retries": self.retries,
+                "quarantined": self.quarantined,
+            }
 
     def shutdown(self) -> None:
         """Dispose of the worker processes (idempotent)."""
@@ -255,6 +269,33 @@ class WorkerPool:
 
     def __del__(self):  # pragma: no cover - GC timing dependent
         self.shutdown()
+
+    @contextmanager
+    def _round(self, solo: bool) -> Iterator[None]:
+        """Admit one submission round of a batch.
+
+        Parallel rounds of concurrent batches share the workers.  A solo
+        round waits until no other round runs and holds back new ones, so a
+        worker that dies during it died of its task.
+        """
+        with self._rounds:
+            if solo:
+                self._solo_waiting += 1
+                self._rounds.wait_for(lambda: not (self._solo_running or self._shared_rounds))
+                self._solo_waiting -= 1
+                self._solo_running = True
+            else:
+                self._rounds.wait_for(lambda: not (self._solo_running or self._solo_waiting))
+                self._shared_rounds += 1
+        try:
+            yield
+        finally:
+            with self._rounds:
+                if solo:
+                    self._solo_running = False
+                else:
+                    self._shared_rounds -= 1
+                self._rounds.notify_all()
 
     # -- execution ----------------------------------------------------------------
 
@@ -311,7 +352,8 @@ class WorkerPool:
             results = self._run_batch_supervised(tasks, backstop)
         else:
             results = self._run_batch_legacy(tasks, backstop)
-        self.tasks_executed += len(tasks)
+        with self._lock:
+            self.tasks_executed += len(tasks)
         return results
 
     # -- supervised path ----------------------------------------------------------
@@ -340,13 +382,14 @@ class WorkerPool:
             grouped = [index for index in pending if not suspect[index]]
 
             if grouped:
-                executor = self._ensure_executor()
-                futures = [
-                    (index, executor.submit(_execute_task, {**tasks[index], "attempt": attempts[index]}))
-                    for index in grouped
-                ]
-                for index, future in futures:
-                    payload = self._collect(future, backstop)
+                with self._round(solo=False):
+                    executor = self._ensure_executor()
+                    futures = [
+                        (index, _submit(executor, {**tasks[index], "attempt": attempts[index]}))
+                        for index in grouped
+                    ]
+                    payloads = [(index, self._collect(future, backstop, executor)) for index, future in futures]
+                for index, payload in payloads:
                     if payload["status"] == "worker-died":
                         # Cannot tell killer from victim in a parallel round;
                         # everyone requeues as a suspect and reruns solo.
@@ -358,7 +401,8 @@ class WorkerPool:
                         results[index] = payload
 
             for index in solo:
-                payload = self._collect_solo(tasks[index], attempts[index], backstop)
+                with self._round(solo=True):
+                    payload = self._collect_solo(tasks[index], attempts[index], backstop)
                 if payload["status"] == "worker-died":
                     # Solo run: this task alone held the executor, so the
                     # death is attributable to it.
@@ -391,7 +435,8 @@ class WorkerPool:
         if attributed_death:
             deaths[index] += 1
             if deaths[index] >= config.quarantine_threshold:
-                self.quarantined += 1
+                with self._lock:
+                    self.quarantined += 1
                 results[index] = {
                     "status": "error",
                     "error": (
@@ -408,70 +453,87 @@ class WorkerPool:
                 "error": f"worker died and the task's retry budget ({config.task_retry_budget}) is exhausted",
             }
             return
-        self.retries += 1
+        with self._lock:
+            self.retries += 1
         requeued.append(index)
 
-    def _collect(self, future, backstop: float) -> dict[str, Any]:
-        """Resolve one parallel-round future into a status payload."""
+    def _collect(self, future, backstop: float, executor: ProcessPoolExecutor) -> dict[str, Any]:
+        """Resolve one future that ran on ``executor`` into a status payload."""
         try:
             return future.result(timeout=backstop)
         except FutureTimeoutError:
-            self._recycle()  # outstanding futures fail over to requeue rounds
+            self._recycle(executor)  # outstanding futures fail over to requeue rounds
             return {"status": "timeout"}
         except (BrokenProcessPool, CancelledError):
-            self._recycle()
+            self._recycle(executor)
             return {"status": "worker-died"}
         except Exception as exc:  # noqa: BLE001 - submission/pickling failures
             return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
 
     def _collect_solo(self, task: dict[str, Any], attempt: int, backstop: float) -> dict[str, Any]:
         """Run one suspected pool killer alone on a (possibly fresh) executor."""
+        executor = self._ensure_executor()
         try:
-            future = self._ensure_executor().submit(_execute_task, {**task, "attempt": attempt})
+            future = executor.submit(_execute_task, {**task, "attempt": attempt})
         except Exception as exc:  # noqa: BLE001 - executor died between rounds
-            self._recycle()
+            self._recycle(executor)
             return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
-        return self._collect(future, backstop)
+        return self._collect(future, backstop, executor)
 
     # -- legacy single-retry-pass path (resilience.supervise = False) --------------
 
     def _run_batch_legacy(self, tasks: list[dict[str, Any]], backstop: float) -> list[dict[str, Any]]:
         results: list[dict[str, Any] | None] = [None] * len(tasks)
-        executor = self._ensure_executor()
-        futures = [executor.submit(_execute_task, task) for task in tasks]
         needs_retry: list[int] = []
-        for index, future in enumerate(futures):
-            try:
-                results[index] = future.result(timeout=backstop)
-            except FutureTimeoutError:
-                results[index] = {"status": "timeout"}
-                self._recycle()  # outstanding futures fail over to the retry pass
-            except (BrokenProcessPool, CancelledError):
-                # A sibling wedged or killed its worker: running futures break,
-                # queued ones are cancelled by the recycle.  Both rerun below.
-                self._recycle()
-                needs_retry.append(index)
-            except Exception as exc:  # noqa: BLE001 - submission/pickling failures
-                results[index] = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
+        with self._round(solo=False):
+            executor = self._ensure_executor()
+            futures = [_submit(executor, task) for task in tasks]
+            for index, future in enumerate(futures):
+                try:
+                    results[index] = future.result(timeout=backstop)
+                except FutureTimeoutError:
+                    results[index] = {"status": "timeout"}
+                    self._recycle(executor)  # outstanding futures fail over to the retry pass
+                except (BrokenProcessPool, CancelledError):
+                    # A sibling wedged or killed its worker: running futures break,
+                    # queued ones are cancelled by the recycle.  Both rerun below.
+                    self._recycle(executor)
+                    needs_retry.append(index)
+                except Exception as exc:  # noqa: BLE001 - submission/pickling failures
+                    results[index] = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
 
         # Retry pass: tasks whose sibling broke the pool rerun one at a time on
         # a fresh executor, so a task that itself kills workers only fails itself.
         for index in needs_retry:
-            results[index] = self._run_single(tasks[index], backstop)
+            with self._round(solo=True):
+                results[index] = self._run_single(tasks[index], backstop)
 
         return [payload if payload is not None else {"status": "error", "error": "task produced no result"} for payload in results]
 
     def _run_single(self, task: dict[str, Any], backstop: float) -> dict[str, Any]:
+        executor = self._ensure_executor()
         try:
-            future = self._ensure_executor().submit(_execute_task, task)
+            future = executor.submit(_execute_task, task)
             return future.result(timeout=backstop)
         except FutureTimeoutError:
-            self._recycle()
+            self._recycle(executor)
             return {"status": "timeout"}
         except (BrokenProcessPool, CancelledError):
             # A second broken pool must fail this task alone, never raise out
             # of the batch: recycle so the *next* retry gets a fresh executor.
-            self._recycle()
+            self._recycle(executor)
             return {"status": "error", "error": "worker process died while executing the task"}
         except Exception as exc:  # noqa: BLE001
             return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _submit(executor: ProcessPoolExecutor, task: dict[str, Any]) -> "Future[dict[str, Any]]":
+    """Submit one task; if a concurrent batch already broke or recycled
+    ``executor``, return a cancelled future so the task is requeued like the
+    victim of a worker death."""
+    try:
+        return executor.submit(_execute_task, task)
+    except RuntimeError:  # BrokenProcessPool, or submit after shutdown
+        cancelled: "Future[dict[str, Any]]" = Future()
+        cancelled.cancel()
+        return cancelled

@@ -15,11 +15,11 @@ from repro import (
     PipelineConfig,
 )
 from repro.api import DatasetRequest, GeneratePayload, RLHFRequest
-from repro.config import RLHFConfig
+from repro.config import IntegrationConfig, RLHFConfig
 from repro.errors import EngineClosedError, RequestError
 from repro.nlp import FaultSpecExtractor
 from repro.targets import get_target
-from repro.types import FaultDescription
+from repro.types import FailureMode, FaultDescription
 
 DESCRIPTIONS = [
     "Simulate a timeout in the transfer function causing an unhandled exception",
@@ -36,6 +36,9 @@ KVSTORE_DESCRIPTIONS = [
     "Make the get function silently swallow errors instead of raising them",
     "Silently corrupt the value returned by the get function",
 ]
+
+#: A hang-prone description: the model turns it into a bank deadlock.
+DEADLOCK = "Cause a deadlock in the withdraw function by acquiring the lock twice"
 
 
 def _expected_payload_dict(config: PipelineConfig, description: str, target: str, greedy: bool):
@@ -88,6 +91,34 @@ class TestEngineLifecycle:
             assert legacy.generator is engine.generator
             assert legacy.extractor is engine.extractor
             assert legacy.config is engine.config
+
+
+class TestSandboxThreads:
+    """Sandbox batches leave the dispatch thread: a hung mutant delays only
+    its own ticket."""
+
+    def test_later_requests_overtake_a_hung_mutant(self):
+        config = PipelineConfig(integration=IntegrationConfig(test_timeout_seconds=3.0))
+        requests = [
+            GenerateRequest(description=DEADLOCK, target="bank", execute=True, request_id="hung"),
+            GenerateRequest(
+                description=KVSTORE_DESCRIPTIONS[0], target="kvstore", execute=True, request_id="kvstore"
+            ),
+            GenerateRequest(description=DESCRIPTIONS[0], target="bank", request_id="generate-only"),
+        ]
+        resolved: list[str] = []
+        with FaultInjectionEngine(config) as engine:
+            handles = []
+            for request in requests:
+                handle = engine.submit(request)
+                handle.add_done_callback(lambda done: resolved.append(done.request_id))
+                handles.append(handle)
+            responses = [handle.result(timeout=60) for handle in handles]
+        assert [response.status for response in responses] == ["ok", "ok", "ok"]
+        assert responses[0].payload.outcome.failure_mode is FailureMode.HANG
+        assert responses[1].payload.outcome.failure_mode is not FailureMode.HANG
+        assert responses[2].payload.outcome is None
+        assert resolved == ["generate-only", "kvstore", "hung"]
 
 
 class TestSoloParityDeterminism:

@@ -157,6 +157,38 @@ class TestSchedulerCoalescing:
         with pytest.raises(EngineClosedError):
             scheduler.submit(_ticket(GenerateRequest(description="x", request_id="g2")))
 
+    def test_offloaded_work_waits_for_a_slot_and_never_strands_handles(self):
+        started, release = threading.Event(), threading.Event()
+        busy = _ticket(GenerateRequest(description="x", request_id="busy"))
+        waiting = _ticket(GenerateRequest(description="x", request_id="waiting"))
+
+        def hold_the_slot():
+            started.set()
+            release.wait(timeout=10)
+            _resolve_all([busy])
+
+        def explode():
+            raise RuntimeError("sandbox exploded")
+
+        scheduler = Scheduler(
+            dispatch_batch=_resolve_all,
+            dispatch_single=lambda t: _resolve_all([t]),
+            max_batch_size=4,
+            max_queue_delay_seconds=0.0,
+            sandbox_workers=1,
+        )
+        scheduler.offload(hold_the_slot, [busy])
+        assert started.wait(timeout=10)
+        scheduler.offload(explode, [waiting])
+        assert scheduler.queue_depth == 1  # waiting for the only sandbox slot
+        assert not scheduler.try_cancel("waiting")  # it already left the queue
+        release.set()
+        assert busy.handle.result(timeout=10).ok
+        response = waiting.handle.result(timeout=10)
+        assert response.error.type == "RuntimeError"
+        scheduler.close()
+        assert scheduler.queue_depth == 0
+
     def test_submit_after_close_is_rejected(self):
         scheduler = Scheduler(
             dispatch_batch=_resolve_all,

@@ -9,7 +9,7 @@ import pytest
 from repro.core import RefinementSession
 from repro.integration import ExperimentRunner
 from repro.config import IntegrationConfig
-from repro.rlhf import tester_pool
+from repro.rlhf import tester_pool as make_tester_pool  # aliased: pytest collects `test*` names
 from repro.targets import all_targets, get_target
 from repro.types import FailureMode, FaultType
 
@@ -87,7 +87,7 @@ class TestFeedbackLoopEndToEnd:
         target = get_target("ecommerce")
         description = "Simulate a timeout in process_transaction causing an unhandled exception"
         handlings = set()
-        for tester in tester_pool()[:2]:
+        for tester in make_tester_pool()[:2]:
             session = RefinementSession(prepared_pipeline, description, code=target.build_source())
             final = session.auto_refine(tester, max_iterations=3)
             handlings.add(final.decisions.handling)

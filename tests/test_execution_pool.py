@@ -6,6 +6,9 @@ inside the fast tier-1 budget.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.config import ExecutionConfig, IntegrationConfig, PipelineConfig
@@ -88,6 +91,58 @@ class TestWorkerPool:
                 "bank", [bank_source, bank_source + HANG_ON_LOAD, bank_source], iterations=10
             )
         assert [p["status"] for p in payloads] == ["ok", "timeout", "ok"]
+
+    def test_concurrent_batches_share_the_pool(self, bank_source):
+        """Batches beside a hung one finish first, and no task goes uncounted."""
+        finished: list[str] = []
+
+        def run(name: str, sources: list[str], rounds: int) -> None:
+            for _ in range(rounds):
+                statuses = {p["status"] for p in pool.run_batch("bank", sources, iterations=5)}
+                assert statuses == ({"timeout"} if name == "hung" else {"ok"})
+            finished.append(name)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with WorkerPool(max_workers=2, task_timeout_seconds=3.0) as pool:
+                threads = [
+                    threading.Thread(target=run, args=("hung", [bank_source + HANG_ON_LOAD], 1)),
+                    threading.Thread(target=run, args=("quick-a", [bank_source] * 3, 2)),
+                    threading.Thread(target=run, args=("quick-b", [bank_source] * 3, 2)),
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert sorted(finished[:2]) == ["quick-a", "quick-b"]
+                assert finished[2:] == ["hung"]
+                assert pool.stats()["tasks_executed"] == 1 + 2 * 3 * 2
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_killer_fails_no_task_of_a_concurrent_batch(self, bank_source):
+        """Only the task that kills workers is quarantined, whichever batch
+        shared the pool with it."""
+        statuses: dict[str, list[str]] = {}
+
+        def run(name: str, sources: list[str]) -> None:
+            statuses[name] = [p["status"] for p in pool.run_batch("bank", sources, iterations=5)]
+
+        with WorkerPool(max_workers=2, task_timeout_seconds=5.0) as pool:
+            threads = [
+                threading.Thread(target=run, args=("killer", [bank_source, bank_source + EXIT_ON_LOAD])),
+                threading.Thread(target=run, args=("a", [bank_source] * 4)),
+                threading.Thread(target=run, args=("b", [bank_source] * 4)),
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert pool.stats()["quarantined"] == 1
+        assert statuses == {"killer": ["ok", "error"], "a": ["ok"] * 4, "b": ["ok"] * 4}
 
     def test_worker_death_is_isolated_and_pool_recovers(self, bank_source):
         with WorkerPool(max_workers=1, task_timeout_seconds=5.0) as pool:

@@ -15,16 +15,17 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro import FaultInjectionServer, PipelineConfig, ServerConfig
-from repro.config import EngineConfig, ExecutionConfig
+from repro.config import EngineConfig, ExecutionConfig, IntegrationConfig
 
 DESCRIPTION = "Simulate a timeout in the transfer function causing an unhandled exception"
 
-#: Occupies the single dispatch thread long enough to queue work behind it.
-BLOCKER = {"targets": ["bank"], "samples_per_target": 2}
+#: A hang-prone description: the model turns it into a bank deadlock.
+DEADLOCK = "Cause a deadlock in the withdraw function by acquiring the lock twice"
 
 
 @pytest.fixture()
@@ -64,45 +65,81 @@ def _await_ticket(server, poll_path: str, timeout: float = 120.0) -> dict:
     raise AssertionError(f"ticket {poll_path} never resolved")
 
 
+def _await(condition, timeout: float = 60.0) -> None:
+    """Wait until ``condition()`` holds."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            raise AssertionError("condition never held")
+        time.sleep(0.01)
+
+
+def _assert_shed(status: int, body: dict, headers: dict) -> None:
+    assert status == 429
+    assert body["error"]["kind"] == "overloaded"
+    assert body["error"]["type"] == "AdmissionError"
+    assert headers.get("Retry-After") == "2"
+
+
 class TestAdmissionControl:
     def test_saturated_queue_sheds_with_429_and_retry_after(self, server):
-        status, blocker, _ = _exchange(server, "POST", "/v1/dataset?async=1", BLOCKER)
-        assert status == 202
-        # The blocker occupies the dispatch thread; this one fills the queue.
-        status, queued, _ = _exchange(
-            server, "POST", "/v1/generate?async=1", {"description": DESCRIPTION}
-        )
-        assert status == 202
-        status, shed, headers = _exchange(
-            server, "POST", "/v1/generate", {"description": DESCRIPTION}
-        )
-        assert status == 429
-        assert shed["error"]["kind"] == "overloaded"
-        assert shed["error"]["type"] == "AdmissionError"
-        assert headers.get("Retry-After") == "2"
+        with server.engine._scheduler.held():
+            # The dispatch thread is held, so this ticket fills the queue.
+            status, queued, _ = _exchange(
+                server, "POST", "/v1/generate?async=1", {"description": DESCRIPTION}
+            )
+            assert status == 202
+            _assert_shed(*_exchange(server, "POST", "/v1/generate", {"description": DESCRIPTION}))
         # Once the queue drains, admission opens again.
-        assert _await_ticket(server, blocker["poll"])["status"] == "ok"
         assert _await_ticket(server, queued["poll"])["status"] == "ok"
         status, envelope, _ = _exchange(
             server, "POST", "/v1/generate", {"description": DESCRIPTION}
         )
         assert status == 200 and envelope["status"] == "ok"
 
+    def test_execute_waiting_for_a_sandbox_slot_is_counted(self):
+        config = PipelineConfig(
+            execution=ExecutionConfig(max_workers=1),
+            integration=IntegrationConfig(test_timeout_seconds=3.0),
+            engine=EngineConfig(max_queue_delay_seconds=0.0),
+        )
+        server_config = ServerConfig(port=0, max_queue_depth=1, retry_after_seconds=2.0)
+        execute = {"description": DESCRIPTION, "target": "bank", "execute": True}
+        with FaultInjectionServer(config=config, server_config=server_config) as server:
+            engine = server.engine
+            status, hung, _ = _exchange(
+                server, "POST", "/v1/generate?async=1", {**execute, "description": DEADLOCK}
+            )
+            assert status == 202
+            # The plane's breaker appears once the hung group runs on the
+            # only sandbox thread.
+            _await(lambda: "bank:subprocess" in engine.execution_stats()["breakers"])
+            status, waiting, _ = _exchange(server, "POST", "/v1/generate?async=1", execute)
+            assert status == 202
+            # The second request left the scheduler queue and waits for the slot.
+            _await(lambda: engine.serving_stats()["dispatched"] == 2 and engine.queue_depth == 1)
+            _assert_shed(*_exchange(server, "POST", "/v1/generate", {"description": DESCRIPTION}))
+            status, _body, _ = _exchange(server, "DELETE", waiting["poll"])
+            assert status == 409
+            hung_envelope = _await_ticket(server, hung["poll"])
+            assert hung_envelope["status"] == "ok"
+            assert hung_envelope["payload"]["outcome"]["failure_mode"] == "hang"
+            assert _await_ticket(server, waiting["poll"])["status"] == "ok"
+            assert engine.queue_depth == 0
+
 
 class TestRequestDeadlines:
     def test_expired_queue_deadline_maps_to_504(self, server):
-        status, blocker, _ = _exchange(server, "POST", "/v1/dataset?async=1", BLOCKER)
-        assert status == 202
-        status, envelope, _ = _exchange(
-            server,
-            "POST",
-            "/v1/generate",
-            {"description": DESCRIPTION, "deadline_seconds": 0.005},
-        )
+        body = {"description": DESCRIPTION, "deadline_seconds": 0.005}
+        with ThreadPoolExecutor(max_workers=1) as client:
+            with server.engine._scheduler.held():
+                pending = client.submit(_exchange, server, "POST", "/v1/generate", body)
+                _await(lambda: server.engine.queue_depth == 1)
+                time.sleep(0.05)  # outlive the deadline while the ticket is queued
+            status, envelope, _ = pending.result(timeout=60)
         assert status == 504
         assert envelope["status"] == "error"
         assert envelope["error"]["kind"] == "timeout"
-        assert _await_ticket(server, blocker["poll"])["status"] == "ok"
 
     def test_generous_deadline_serves_normally(self, server):
         status, envelope, _ = _exchange(
@@ -116,22 +153,21 @@ class TestRequestDeadlines:
 
 class TestCancellation:
     def test_delete_recalls_a_queued_request(self, server):
-        status, blocker, _ = _exchange(server, "POST", "/v1/dataset?async=1", BLOCKER)
-        assert status == 202
-        status, queued, _ = _exchange(
-            server, "POST", "/v1/generate?async=1", {"description": DESCRIPTION}
-        )
-        assert status == 202
-        status, envelope, _ = _exchange(server, "DELETE", queued["poll"])
-        assert status == 200
-        assert envelope["status"] == "cancelled"
-        assert envelope["error"]["kind"] == "cancelled"
-        # A cancelled ticket stays pollable and a second cancel is refused.
-        status, polled, _ = _exchange(server, "GET", queued["poll"])
-        assert status == 200 and polled["status"] == "cancelled"
-        status, refused, _ = _exchange(server, "DELETE", queued["poll"])
-        assert status == 409
-        assert _await_ticket(server, blocker["poll"])["status"] == "ok"
+        with server.engine._scheduler.held():
+            status, queued, _ = _exchange(
+                server, "POST", "/v1/generate?async=1", {"description": DESCRIPTION}
+            )
+            assert status == 202
+            status, envelope, _ = _exchange(server, "DELETE", queued["poll"])
+            assert status == 200
+            assert envelope["status"] == "cancelled"
+            assert envelope["error"]["kind"] == "cancelled"
+            # A cancelled ticket stays pollable and a second cancel is refused.
+            status, polled, _ = _exchange(server, "GET", queued["poll"])
+            assert status == 200 and polled["status"] == "cancelled"
+            status, refused, _ = _exchange(server, "DELETE", queued["poll"])
+            assert status == 409
+        assert server.engine.queue_depth == 0
 
     def test_delete_of_finished_or_unknown_requests(self, server):
         status, ticket, _ = _exchange(

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.errors import TargetError
 from repro.injection import ProgrammableInjector
 from repro.targets import TargetRunResult, all_targets, get_target, target_names
@@ -141,3 +147,34 @@ class TestInvariantSensitivity:
             # Loading a module that fails on import must surface as a TargetError
             # in baseline(), not slip through as a silent failure.
             target.load_module("raise RuntimeError('nope')\n")
+
+
+class TestLeanPackageImport:
+    """Every subprocess sandbox run imports ``repro.targets``, so the package
+    root must not drag in the serving, model and NLP stacks."""
+
+    def test_importing_targets_skips_the_heavy_stacks(self):
+        src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        path = os.pathsep.join(filter(None, [src_root, os.environ.get("PYTHONPATH")]))
+        code = "import json, sys, repro.targets; print(json.dumps(sorted(sys.modules)))"
+        completed = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        loaded = json.loads(completed.stdout)
+        assert "repro.targets.registry" in loaded
+        heavy = ("repro.api", "repro.server", "repro.llm", "repro.nlp", "repro.dataset")
+        assert [name for name in loaded if name.startswith(heavy)] == []
+
+    def test_every_public_name_resolves(self):
+        for name in repro.__all__:
+            assert getattr(repro, name) is not None, name
+        namespace: dict = {}
+        exec("from repro import *", namespace)
+        assert set(repro.__all__) <= set(namespace)
+        assert set(repro.__all__) <= set(dir(repro))
+        with pytest.raises(AttributeError):
+            repro.no_such_export
