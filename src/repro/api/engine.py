@@ -46,6 +46,7 @@ from ..errors import (
     ReproError,
     RequestError,
 )
+from ..execution import SandboxSlots
 from ..integration import ExperimentRecord, ExperimentRunner
 from ..llm import FaultGenerator, GenerationCandidate, SFTReport, SFTTrainer
 from ..llm.decoder import Decoder
@@ -97,6 +98,10 @@ class FaultInjectionEngine:
         self.prompts = PromptBuilder()
         self.generator = FaultGenerator(self.config.model, rng=self._rng.fork("generator"))
         self.feedback_parser = FeedbackParser()
+        # Every sandbox runner the engine creates shares one cap on running
+        # workloads, so ``max_workers`` bounds the engine's live sandbox
+        # children however many threads drive sandbox runs at once.
+        self.sandbox_slots = SandboxSlots(self.config.execution.resolved_workers())
         self.dataset_generator = DatasetGenerator(
             self.config.dataset,
             execution=self.config.execution,
@@ -104,6 +109,7 @@ class FaultInjectionEngine:
             analyzer=self.analyzer,
             prompts=self.prompts,
             resilience=self.config.resilience,
+            slots=self.sandbox_slots,
         )
         self._breakers = BreakerRegistry(self.config.resilience)
         self._retry = RetryPolicy.from_config(self.config.resilience)
@@ -133,10 +139,19 @@ class FaultInjectionEngine:
         generator's validation runner and every per-target experiment runner
         (worker pools, scratch dirs) are closed.  Idempotent; further
         :meth:`submit`/:meth:`run` calls raise
-        :class:`~repro.errors.EngineClosedError`.
+        :class:`~repro.errors.EngineClosedError`.  Called from a handle's
+        done-callback — on the dispatch thread or a sandbox thread, which
+        the drain waits for — it returns at once and a helper thread
+        finishes the drain and the release.
         """
         with self._lock:
             self._closed = True
+        if self._scheduler.on_serving_thread():
+            threading.Thread(target=self._drain_and_release, name="repro-engine-close").start()
+            return
+        self._drain_and_release()
+
+    def _drain_and_release(self) -> None:
         self._scheduler.close()
         self.dataset_generator.close()
         with self._lock:
@@ -218,7 +233,7 @@ class FaultInjectionEngine:
 
     @property
     def queue_depth(self) -> int:
-        """Tickets waiting for the dispatch thread or a sandbox slot (admission
+        """Tickets waiting for the dispatch thread or a sandbox thread (admission
         control)."""
         return self._scheduler.queue_depth
 
@@ -896,6 +911,7 @@ class FaultInjectionEngine:
                 analyzer=self.analyzer,
                 prompts=self.prompts,
                 resilience=self.config.resilience,
+                slots=self.sandbox_slots,
             )
         targets = [get_target(name) for name in request.targets] or None
         try:
@@ -1029,6 +1045,7 @@ class FaultInjectionEngine:
                     seed=self.config.seed,
                     execution=self.config.execution,
                     resilience=self.config.resilience,
+                    slots=self.sandbox_slots,
                 )
             return self._experiment_runners[target_system.name]
 

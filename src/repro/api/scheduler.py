@@ -19,9 +19,10 @@ batching in LLM serving engines (sglang-like):
   the order-of-magnitude serving win comes from.  Each group is handed to
   a sandbox thread (:meth:`Scheduler.offload`), so the dispatch thread runs
   only NLP, the forward pass and decode, and a hung mutant holds one
-  sandbox slot instead of every later request;
-* dataset / campaign / RLHF tickets are heavyweight and run alone, in queue
-  order.
+  sandbox thread instead of every later request;
+* dataset / campaign / RLHF tickets are heavyweight and run one per
+  dispatch on the dispatch thread, in queue order, beside any execution
+  groups still running on sandbox threads.
 
 Batching never changes results: greedy decoding is batch-invariant, sampled
 requests decode from per-request seeded streams, and payload envelopes
@@ -200,8 +201,9 @@ class Scheduler:
         self._sandbox = ThreadPoolExecutor(
             max_workers=max(1, int(sandbox_workers)), thread_name_prefix="repro-sandbox"
         )
-        self._awaiting_slot = 0
+        self._awaiting_thread = 0
         self._held = 0
+        self._serving = threading.local()
         self._closed = False
         self.stats = SchedulerStats()
 
@@ -209,14 +211,14 @@ class Scheduler:
 
     @property
     def queue_depth(self) -> int:
-        """Tickets waiting for the dispatch thread or for a sandbox slot.
+        """Tickets waiting for the dispatch thread or for a sandbox thread.
 
         Admission control sheds on this number, so a burst of execute
         requests queued behind busy sandbox threads is shed like a burst
         queued behind the dispatch thread.
         """
         with self._cond:
-            return len(self._queue) + self._awaiting_slot
+            return len(self._queue) + self._awaiting_thread
 
     def submit(self, ticket: Ticket) -> None:
         """Enqueue a ticket (thread-safe); starts the dispatch thread lazily.
@@ -276,14 +278,26 @@ class Scheduler:
         every handle obtained before ``close`` resolves: the dispatch thread
         drains the queue first, then every offloaded task runs to completion.
         A :meth:`held` queue is released.  Idempotent.
+
+        Called on a serving thread (see :meth:`on_serving_thread`), close
+        cannot wait for the threads it drains: it only rejects new submits,
+        and the dispatch thread shuts the sandbox threads down once the
+        queue is empty.
         """
         with self._cond:
             self._closed = True
             thread = self._thread
             self._cond.notify_all()
-        if thread is not None and thread is not threading.current_thread():
+        if self.on_serving_thread():
+            return
+        if thread is not None:
             thread.join()
         self._sandbox.shutdown(wait=True)
+
+    def on_serving_thread(self) -> bool:
+        """Whether the caller runs on the dispatch thread or a sandbox thread
+        — as a handle's done-callback may."""
+        return getattr(self._serving, "active", False)
 
     @contextmanager
     def held(self) -> Iterator[None]:
@@ -312,22 +326,31 @@ class Scheduler:
         unresolved resolves with an error envelope.
         """
         with self._cond:
-            self._awaiting_slot += len(tickets)
-        self._sandbox.submit(self._run_offloaded, work, tickets)
+            self._awaiting_thread += len(tickets)
+        try:
+            self._sandbox.submit(self._run_offloaded, work, tickets)
+        except RuntimeError:  # the sandbox threads were shut down
+            with self._cond:
+                self._awaiting_thread -= len(tickets)
+            raise
 
     def _run_offloaded(self, work: Callable[[], None], tickets: list[Ticket]) -> None:
+        self._serving.active = True
         with self._cond:
-            self._awaiting_slot -= len(tickets)
+            self._awaiting_thread -= len(tickets)
         self._dispatch(work, tickets)
 
     # -- dispatch loop ---------------------------------------------------------------
 
     def _loop(self) -> None:
+        self._serving.active = True
         while True:
             with self._cond:
                 while not self._closed and (self._held or not self._queue):
                     self._cond.wait()
                 if not self._queue:
+                    # Closed and drained: nothing offloads any more.
+                    self._sandbox.shutdown(wait=False)
                     return
                 head = self._queue.popleft()
             if head.expired():

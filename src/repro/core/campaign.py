@@ -252,5 +252,6 @@ class CampaignOrchestrator:
                 config=self.pipeline.config.integration,
                 seed=self.pipeline.config.seed,
                 execution=self.pipeline.config.execution,
+                slots=self.pipeline.sandbox_slots,
             )
         return self._baseline_runner_cache

@@ -29,6 +29,7 @@ from __future__ import annotations
 from ..api.engine import FaultInjectionEngine, FeedbackProvider
 from ..config import PipelineConfig
 from ..dataset import DatasetGenerator, FaultDataset
+from ..execution import SandboxSlots
 from ..integration import ExperimentRecord, ExperimentRunner
 from ..llm import FaultGenerator, GenerationCandidate, SFTReport, SFTTrainer
 from ..nlp import CodeAnalyzer, FaultSpecExtractor, GenerationPrompt, PromptBuilder
@@ -78,6 +79,11 @@ class NeuralFaultInjector:
     def generator(self) -> FaultGenerator:
         """The engine's shared generation model."""
         return self.engine.generator
+
+    @property
+    def sandbox_slots(self) -> SandboxSlots:
+        """The engine's cap on running sandbox workloads."""
+        return self.engine.sandbox_slots
 
     @property
     def feedback_parser(self) -> FeedbackParser:

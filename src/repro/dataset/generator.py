@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from ..config import DatasetConfig, ExecutionConfig, IntegrationConfig, ResilienceConfig
 from ..errors import DatasetError
+from ..execution import SandboxSlots
 from ..injection import ProgrammableInjector, ast_utils
 from ..injection.operators import AppliedFault
 from ..llm.decisions import DecisionVector, reference_decisions
@@ -86,6 +87,7 @@ class DatasetGenerator:
         analyzer: CodeAnalyzer | None = None,
         prompts: PromptBuilder | None = None,
         resilience: ResilienceConfig | None = None,
+        slots: SandboxSlots | None = None,
     ) -> None:
         """Initialise the generator.
 
@@ -106,6 +108,9 @@ class DatasetGenerator:
                 validation runner; defaults to
                 :class:`~repro.config.ResilienceConfig`.
             prompts: A shared prompt builder (same sharing rationale).
+            slots: A cap on running sandbox workloads that the
+                lazily-created validation runner shares with the engine's
+                other runners.
         """
         self._config = config or DatasetConfig()
         self._rng = SeededRNG(self._config.seed, namespace="dataset")
@@ -118,6 +123,7 @@ class DatasetGenerator:
         self._resilience = resilience or ResilienceConfig()
         self._runner = runner
         self._owns_runner = False
+        self._slots = slots
         self.stats = GenerationStats()
 
     def pool_stats(self) -> dict[str, int] | None:
@@ -336,6 +342,7 @@ class DatasetGenerator:
                 ),
                 execution=self._execution,
                 resilience=self._resilience,
+                slots=self._slots,
             )
             self._owns_runner = True
         return self._runner

@@ -6,15 +6,19 @@ Components:
   timeouts and deterministic, submission-ordered results;
 * :class:`HashKeyedCache` / :func:`cache_stats` — hash-keyed memoization used
   by AST parsing, code analysis, and target source construction;
-* :func:`resolve_workers` / :func:`worker_cap` — CPU-derived pool sizing.
+* :func:`resolve_workers` / :func:`worker_cap` — CPU-derived pool sizing;
+* :class:`SandboxSlots` — a cap on running sandbox workloads shared by
+  every runner of one engine.
 """
 
 from .cache import CacheStats, HashKeyedCache, cache_stats, clear_all_caches, get_cache
 from .pool import WorkerPool, resolve_workers, worker_cap
+from .slots import SandboxSlots
 
 __all__ = [
     "CacheStats",
     "HashKeyedCache",
+    "SandboxSlots",
     "WorkerPool",
     "cache_stats",
     "clear_all_caches",

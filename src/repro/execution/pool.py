@@ -37,8 +37,7 @@ import signal
 import threading
 from concurrent.futures import CancelledError, Future, ProcessPoolExecutor, TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any
 
 from ..config import ResilienceConfig
 from ..errors import SandboxError
@@ -148,9 +147,10 @@ class WorkerPool:
     The executor is created lazily and rebuilt automatically if a task wedges
     or kills a worker, so one pathological fault cannot poison a campaign.
     Several threads may run batches on one pool at once: their parallel
-    rounds share the workers, while a rerun of suspected pool killers waits
-    to run alone, so a worker death during it is still attributable to its
-    task.  The supervision counters are updated under the pool's lock.
+    rounds share the workers, while a suspected pool killer reruns on a
+    private one-worker executor, so a worker death there is attributable to
+    its task alone.  The supervision counters are updated under the pool's
+    lock.
     With supervision enabled (the default), victims of a worker death are
     requeued under a bounded retry budget and repeat offenders are
     quarantined; with ``resilience.supervise`` off the pool falls back to the
@@ -184,10 +184,6 @@ class WorkerPool:
         self.resilience = resilience if resilience is not None else ResilienceConfig()
         self._executor: ProcessPoolExecutor | None = None
         self._lock = threading.Lock()
-        self._rounds = threading.Condition()
-        self._shared_rounds = 0
-        self._solo_waiting = 0
-        self._solo_running = False
         self.tasks_executed = 0
         self.pool_rebuilds = 0
         self.retries = 0
@@ -216,10 +212,7 @@ class WorkerPool:
                 return
             self._executor = None
             self.pool_rebuilds += 1
-        processes = list(getattr(executor, "_processes", {}).values())
-        for process in processes:
-            process.terminate()
-        executor.shutdown(wait=False, cancel_futures=True)
+        _dispose(executor)
 
     def check_liveness(self) -> bool:
         """Proactively verify the pool's workers are alive.
@@ -269,33 +262,6 @@ class WorkerPool:
 
     def __del__(self):  # pragma: no cover - GC timing dependent
         self.shutdown()
-
-    @contextmanager
-    def _round(self, solo: bool) -> Iterator[None]:
-        """Admit one submission round of a batch.
-
-        Parallel rounds of concurrent batches share the workers.  A solo
-        round waits until no other round runs and holds back new ones, so a
-        worker that dies during it died of its task.
-        """
-        with self._rounds:
-            if solo:
-                self._solo_waiting += 1
-                self._rounds.wait_for(lambda: not (self._solo_running or self._shared_rounds))
-                self._solo_waiting -= 1
-                self._solo_running = True
-            else:
-                self._rounds.wait_for(lambda: not (self._solo_running or self._solo_waiting))
-                self._shared_rounds += 1
-        try:
-            yield
-        finally:
-            with self._rounds:
-                if solo:
-                    self._solo_running = False
-                else:
-                    self._shared_rounds -= 1
-                self._rounds.notify_all()
 
     # -- execution ----------------------------------------------------------------
 
@@ -363,7 +329,7 @@ class WorkerPool:
 
         Round 0 submits every task in parallel.  Tasks whose worker died (or
         whose result was chaos-dropped) are requeued; suspected pool killers
-        rerun **one at a time** on a fresh executor so a subsequent death is
+        rerun **one at a time** on a private one-worker executor, so a death is
         unambiguously attributable to them.  A task attributed
         ``quarantine_threshold`` worker deaths is quarantined — failed
         individually — and a task requeued more than ``task_retry_budget``
@@ -382,14 +348,13 @@ class WorkerPool:
             grouped = [index for index in pending if not suspect[index]]
 
             if grouped:
-                with self._round(solo=False):
-                    executor = self._ensure_executor()
-                    futures = [
-                        (index, _submit(executor, {**tasks[index], "attempt": attempts[index]}))
-                        for index in grouped
-                    ]
-                    payloads = [(index, self._collect(future, backstop, executor)) for index, future in futures]
-                for index, payload in payloads:
+                executor = self._ensure_executor()
+                futures = [
+                    (index, _submit(executor, {**tasks[index], "attempt": attempts[index]}))
+                    for index in grouped
+                ]
+                for index, future in futures:
+                    payload = self._collect(future, backstop, executor)
                     if payload["status"] == "worker-died":
                         # Cannot tell killer from victim in a parallel round;
                         # everyone requeues as a suspect and reruns solo.
@@ -401,8 +366,7 @@ class WorkerPool:
                         results[index] = payload
 
             for index in solo:
-                with self._round(solo=True):
-                    payload = self._collect_solo(tasks[index], attempts[index], backstop)
+                payload = _run_alone({**tasks[index], "attempt": attempts[index]}, backstop)
                 if payload["status"] == "worker-died":
                     # Solo run: this task alone held the executor, so the
                     # death is attributable to it.
@@ -470,61 +434,35 @@ class WorkerPool:
         except Exception as exc:  # noqa: BLE001 - submission/pickling failures
             return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
 
-    def _collect_solo(self, task: dict[str, Any], attempt: int, backstop: float) -> dict[str, Any]:
-        """Run one suspected pool killer alone on a (possibly fresh) executor."""
-        executor = self._ensure_executor()
-        try:
-            future = executor.submit(_execute_task, {**task, "attempt": attempt})
-        except Exception as exc:  # noqa: BLE001 - executor died between rounds
-            self._recycle(executor)
-            return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
-        return self._collect(future, backstop, executor)
-
     # -- legacy single-retry-pass path (resilience.supervise = False) --------------
 
     def _run_batch_legacy(self, tasks: list[dict[str, Any]], backstop: float) -> list[dict[str, Any]]:
         results: list[dict[str, Any] | None] = [None] * len(tasks)
         needs_retry: list[int] = []
-        with self._round(solo=False):
-            executor = self._ensure_executor()
-            futures = [_submit(executor, task) for task in tasks]
-            for index, future in enumerate(futures):
-                try:
-                    results[index] = future.result(timeout=backstop)
-                except FutureTimeoutError:
-                    results[index] = {"status": "timeout"}
-                    self._recycle(executor)  # outstanding futures fail over to the retry pass
-                except (BrokenProcessPool, CancelledError):
-                    # A sibling wedged or killed its worker: running futures break,
-                    # queued ones are cancelled by the recycle.  Both rerun below.
-                    self._recycle(executor)
-                    needs_retry.append(index)
-                except Exception as exc:  # noqa: BLE001 - submission/pickling failures
-                    results[index] = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
+        executor = self._ensure_executor()
+        futures = [_submit(executor, task) for task in tasks]
+        for index, future in enumerate(futures):
+            try:
+                results[index] = future.result(timeout=backstop)
+            except FutureTimeoutError:
+                results[index] = {"status": "timeout"}
+                self._recycle(executor)  # outstanding futures fail over to the retry pass
+            except (BrokenProcessPool, CancelledError):
+                # A sibling wedged or killed its worker: running futures break,
+                # queued ones are cancelled by the recycle.  Both rerun below.
+                self._recycle(executor)
+                needs_retry.append(index)
+            except Exception as exc:  # noqa: BLE001 - submission/pickling failures
+                results[index] = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
 
         # Retry pass: tasks whose sibling broke the pool rerun one at a time on
-        # a fresh executor, so a task that itself kills workers only fails itself.
+        # a private executor, so a task that itself kills workers only fails itself.
         for index in needs_retry:
-            with self._round(solo=True):
-                results[index] = self._run_single(tasks[index], backstop)
+            results[index] = _run_alone(tasks[index], backstop)
+            if results[index]["status"] == "worker-died":
+                results[index] = {"status": "error", "error": "worker process died while executing the task"}
 
         return [payload if payload is not None else {"status": "error", "error": "task produced no result"} for payload in results]
-
-    def _run_single(self, task: dict[str, Any], backstop: float) -> dict[str, Any]:
-        executor = self._ensure_executor()
-        try:
-            future = executor.submit(_execute_task, task)
-            return future.result(timeout=backstop)
-        except FutureTimeoutError:
-            self._recycle(executor)
-            return {"status": "timeout"}
-        except (BrokenProcessPool, CancelledError):
-            # A second broken pool must fail this task alone, never raise out
-            # of the batch: recycle so the *next* retry gets a fresh executor.
-            self._recycle(executor)
-            return {"status": "error", "error": "worker process died while executing the task"}
-        except Exception as exc:  # noqa: BLE001
-            return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
 
 
 def _submit(executor: ProcessPoolExecutor, task: dict[str, Any]) -> "Future[dict[str, Any]]":
@@ -537,3 +475,30 @@ def _submit(executor: ProcessPoolExecutor, task: dict[str, Any]) -> "Future[dict
         cancelled: "Future[dict[str, Any]]" = Future()
         cancelled.cancel()
         return cancelled
+
+
+def _run_alone(task: dict[str, Any], backstop: float) -> dict[str, Any]:
+    """Run one suspected pool killer on a private one-worker executor.
+
+    Concurrent batches may break the shared executor at any time; a worker
+    death on the private one can only be this task's, so it is reported as
+    ``{"status": "worker-died"}`` for the caller to attribute.
+    """
+    executor = ProcessPoolExecutor(max_workers=1, initializer=_pool_initializer)
+    try:
+        return executor.submit(_execute_task, task).result(timeout=backstop)
+    except FutureTimeoutError:
+        return {"status": "timeout"}
+    except (BrokenProcessPool, CancelledError):
+        return {"status": "worker-died"}
+    except Exception as exc:  # noqa: BLE001 - submission/pickling failures
+        return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
+    finally:
+        _dispose(executor)
+
+
+def _dispose(executor: ProcessPoolExecutor) -> None:
+    """Terminate ``executor``'s workers, wedged or not, without waiting."""
+    for process in list(getattr(executor, "_processes", {}).values()):
+        process.terminate()
+    executor.shutdown(wait=False, cancel_futures=True)

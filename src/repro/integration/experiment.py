@@ -13,6 +13,7 @@ from typing import Iterable, Sequence
 
 from ..config import ExecutionConfig, IntegrationConfig, ResilienceConfig
 from ..errors import ExperimentError, IntegrationError
+from ..execution import SandboxSlots
 from ..injection.operators import AppliedFault
 from ..targets import TargetRunResult, TargetSystem, get_target
 from ..types import FailureMode, GeneratedFault, InjectionOutcome
@@ -76,6 +77,7 @@ class ExperimentRunner:
         seed: int = 0,
         execution: ExecutionConfig | None = None,
         resilience: ResilienceConfig | None = None,
+        slots: SandboxSlots | None = None,
     ) -> None:
         self.target = get_target(target) if isinstance(target, str) else target
         self.config = config or IntegrationConfig()
@@ -83,7 +85,7 @@ class ExperimentRunner:
         self.resilience = resilience or ResilienceConfig()
         self._owns_runner = runner is None
         self._runner = runner or SandboxRunner(
-            self.config, execution=self.execution, resilience=self.resilience
+            self.config, execution=self.execution, resilience=self.resilience, slots=slots
         )
         self._classifier = classifier or FailureClassifier()
         self._integrator = FaultIntegrator(workspaces)

@@ -36,13 +36,14 @@ import sys
 import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from ..config import ExecutionConfig, IntegrationConfig, ResilienceConfig
 from ..errors import SandboxError
-from ..execution import WorkerPool, resolve_workers
+from ..execution import SandboxSlots, WorkerPool, resolve_workers
 from ..targets import TargetRunResult, get_target
 
 _DRIVER = """
@@ -88,10 +89,23 @@ class SandboxRunner:
         config: IntegrationConfig | None = None,
         execution: ExecutionConfig | None = None,
         resilience: ResilienceConfig | None = None,
+        slots: SandboxSlots | None = None,
     ) -> None:
+        """Configure the runner; pools and scratch space are created lazily.
+
+        Args:
+            config: Timeout, iterations and output capture of each run.
+            execution: Worker count and chunk size of batches.
+            resilience: Supervision / chaos behaviour of the pool modes.
+            slots: A cap on running sandbox workloads shared with other
+                runners (an engine passes its own); every subprocess and
+                pool task holds one slot while it runs.  ``None`` leaves
+                this runner's batches bounded by its worker count only.
+        """
         self._config = config or IntegrationConfig()
         self._execution = execution or ExecutionConfig()
         self._resilience = resilience or ResilienceConfig()
+        self._slots = slots
         self._pool: WorkerPool | None = None
         self._distributed = None  # lazily-created repro.distributed.DistributedPool
         self._retired_pool_stats = dict.fromkeys(_POOL_COUNTER_KEYS, 0)
@@ -337,13 +351,14 @@ class SandboxRunner:
             str(seed),
         ]
         try:
-            completed = subprocess.run(
-                command,
-                capture_output=self._config.capture_output,
-                timeout=timeout_seconds if timeout_seconds is not None else self._config.test_timeout_seconds,
-                text=True,
-                check=False,
-            )
+            with self._claim(1):
+                completed = subprocess.run(
+                    command,
+                    capture_output=self._config.capture_output,
+                    timeout=timeout_seconds if timeout_seconds is not None else self._config.test_timeout_seconds,
+                    text=True,
+                    check=False,
+                )
         except subprocess.TimeoutExpired as exc:
             return RunObservation(
                 result=None,
@@ -383,13 +398,23 @@ class SandboxRunner:
         timeout_seconds: float | None = None,
     ) -> list[RunObservation]:
         pool = self._ensure_pool(max_workers)
-        payloads = pool.run_batch(
-            target_name,
-            module_sources,
-            seed=seed,
-            iterations=iterations,
-            timeout_seconds=timeout_seconds if timeout_seconds is not None else self._config.test_timeout_seconds,
-        )
+        payloads: list[dict[str, Any]] = []
+        with self._claim(min(len(module_sources), pool.max_workers)) as granted:
+            # Granted fewer slots than the pool has workers: feed it chunks
+            # of that size, so no more tasks run at once than were granted.
+            step = len(module_sources) if granted >= pool.max_workers else granted
+            for start in range(0, len(module_sources), step):
+                payloads.extend(
+                    pool.run_batch(
+                        target_name,
+                        module_sources[start : start + step],
+                        seed=seed,
+                        iterations=iterations,
+                        timeout_seconds=(
+                            timeout_seconds if timeout_seconds is not None else self._config.test_timeout_seconds
+                        ),
+                    )
+                )
         return [self._observation_from_pool(payload) for payload in payloads]
 
     def _run_distributed(
@@ -474,6 +499,15 @@ class SandboxRunner:
             if key == "workers":
                 continue
             retired[key] = retired.get(key, 0) + value
+
+    @contextmanager
+    def _claim(self, wanted: int) -> Iterator[int]:
+        """Hold sandbox slots for up to ``wanted`` runs (see :class:`SandboxSlots`)."""
+        if self._slots is None:
+            yield wanted
+            return
+        with self._slots.claim(wanted) as granted:
+            yield granted
 
     def _scratch_file(self) -> Path:
         """A unique module path inside the runner's persistent scratch directory.

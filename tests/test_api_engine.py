@@ -4,7 +4,9 @@ and the batched NLP extraction stage."""
 from __future__ import annotations
 
 import json
+import subprocess
 import threading
+import time
 
 import pytest
 
@@ -15,8 +17,9 @@ from repro import (
     PipelineConfig,
 )
 from repro.api import DatasetRequest, GeneratePayload, RLHFRequest
-from repro.config import IntegrationConfig, RLHFConfig
+from repro.config import EngineConfig, ExecutionConfig, IntegrationConfig, RLHFConfig
 from repro.errors import EngineClosedError, RequestError
+from repro.execution import WorkerPool
 from repro.nlp import FaultSpecExtractor
 from repro.targets import get_target
 from repro.types import FailureMode, FaultDescription
@@ -119,6 +122,98 @@ class TestSandboxThreads:
         assert responses[1].payload.outcome.failure_mode is not FailureMode.HANG
         assert responses[2].payload.outcome is None
         assert resolved == ["generate-only", "kvstore", "hung"]
+
+
+class TestSandboxSlots:
+    """``max_workers`` bounds the engine's running sandbox workloads, however
+    many sandbox threads run execution groups at once."""
+
+    @pytest.mark.parametrize("mode", ["subprocess", pytest.param("pool", marks=pytest.mark.pool)])
+    def test_concurrent_groups_share_max_workers(self, monkeypatch, mode):
+        live = peak = 0
+        lock = threading.Lock()
+
+        def counted(runs: int, call):
+            nonlocal live, peak
+            with lock:
+                live += runs
+                peak = max(peak, live)
+            try:
+                time.sleep(0.2)  # long enough for the groups to overlap
+                return call()
+            finally:
+                with lock:
+                    live -= runs
+
+        if mode == "subprocess":
+            real_run = subprocess.run
+            monkeypatch.setattr(
+                subprocess, "run", lambda *args, **kwargs: counted(1, lambda: real_run(*args, **kwargs))
+            )
+        else:
+            real_batch = WorkerPool.run_batch
+
+            def run_batch(pool, target_name, module_sources, **kwargs):
+                return counted(
+                    len(module_sources), lambda: real_batch(pool, target_name, module_sources, **kwargs)
+                )
+
+            monkeypatch.setattr(WorkerPool, "run_batch", run_batch)
+
+        config = PipelineConfig(
+            execution=ExecutionConfig(max_workers=2),
+            engine=EngineConfig(max_queue_delay_seconds=0.0),
+        )
+        requests = [
+            GenerateRequest(description=description, target=target, execute=True, mode=mode)
+            for target, descriptions in (("bank", DESCRIPTIONS[:2]), ("kvstore", KVSTORE_DESCRIPTIONS[:2]))
+            for description in descriptions
+        ]
+        with FaultInjectionEngine(config) as engine:
+            with engine._scheduler.held():  # one dispatch: two groups of two
+                handles = [engine.submit(request) for request in requests]
+            responses = [handle.result(timeout=120) for handle in handles]
+            assert engine.sandbox_slots.in_use == 0
+        assert [response.status for response in responses] == ["ok"] * 4
+        assert 1 <= peak <= 2
+
+
+class TestCloseFromCallbacks:
+    """A done-callback may close the engine; queued work still resolves."""
+
+    def _config(self) -> PipelineConfig:
+        return PipelineConfig(engine=EngineConfig(max_queue_delay_seconds=0.0))
+
+    def test_close_on_the_dispatch_thread_still_runs_queued_executions(self):
+        engine = FaultInjectionEngine(self._config())
+        with engine._scheduler.held():
+            generate_only = engine.submit(GenerateRequest(description=DESCRIPTIONS[0], target="bank"))
+            executions = [
+                engine.submit(GenerateRequest(description=description, target="bank", execute=True))
+                for description in DESCRIPTIONS[1:3]
+            ]
+            # Generate-only tickets resolve on the dispatch thread.
+            generate_only.add_done_callback(lambda _handle: engine.close())
+        responses = [handle.result(timeout=60) for handle in (generate_only, *executions)]
+        assert [response.status for response in responses] == ["ok"] * 3
+        assert all(response.payload.outcome is not None for response in responses[1:])
+        assert engine.closed
+        engine.close()  # a later close from the caller's thread waits for the drain
+        with pytest.raises(EngineClosedError):
+            engine.submit(GenerateRequest(description=DESCRIPTIONS[0], target="bank"))
+
+    def test_close_on_a_sandbox_thread_releases_the_runners(self):
+        engine = FaultInjectionEngine(self._config())
+        first = engine.submit(GenerateRequest(description=DESCRIPTIONS[0], target="bank", execute=True))
+        # Execute tickets resolve on a sandbox thread.
+        first.add_done_callback(lambda _handle: engine.close())
+        assert first.result(timeout=60).status == "ok"
+        deadline = time.monotonic() + 30
+        while engine._experiment_runners and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert engine._experiment_runners == {}  # the helper thread finished the close
+        with pytest.raises(EngineClosedError):
+            engine.submit(GenerateRequest(description=DESCRIPTIONS[0], target="bank"))
 
 
 class TestSoloParityDeterminism:

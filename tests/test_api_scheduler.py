@@ -180,7 +180,7 @@ class TestSchedulerCoalescing:
         scheduler.offload(hold_the_slot, [busy])
         assert started.wait(timeout=10)
         scheduler.offload(explode, [waiting])
-        assert scheduler.queue_depth == 1  # waiting for the only sandbox slot
+        assert scheduler.queue_depth == 1  # waiting for the only sandbox thread
         assert not scheduler.try_cancel("waiting")  # it already left the queue
         release.set()
         assert busy.handle.result(timeout=10).ok

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import sys
 import threading
+import time
 
 import pytest
 
 from repro.config import ExecutionConfig, IntegrationConfig, PipelineConfig
 from repro.errors import ConfigurationError
-from repro.execution import WorkerPool, resolve_workers, worker_cap
+from repro.execution import SandboxSlots, WorkerPool, resolve_workers, worker_cap
 from repro.execution.cache import HashKeyedCache, cache_stats
 from repro.injection import FaultLoad, ProgrammableInjector, ast_utils
 from repro.injection.ast_utils import PARSE_CACHE
@@ -179,6 +180,47 @@ class TestSandboxRunnerBatches:
 
     def test_empty_batch_is_a_no_op(self, runner):
         assert runner.run_batch("bank", [], mode="pool") == []
+
+    def test_pool_batch_granted_fewer_slots_runs_in_chunks(self, monkeypatch, bank_source):
+        chunks: list[int] = []
+        real_batch = WorkerPool.run_batch
+
+        def run_batch(pool, target_name, module_sources, **kwargs):
+            chunks.append(len(module_sources))
+            return real_batch(pool, target_name, module_sources, **kwargs)
+
+        monkeypatch.setattr(WorkerPool, "run_batch", run_batch)
+        slots = SandboxSlots(2)
+        with SandboxRunner(execution=ExecutionConfig(max_workers=2), slots=slots) as sandbox:
+            sources = [bank_source, bank_source + "\nBROKEN = (\n", bank_source]
+            with slots.claim(1):  # another runner holds one of the two slots
+                observations = sandbox.run_batch("bank", sources, mode="pool", iterations=5)
+            assert chunks == [1, 1, 1]
+            assert [o.completed for o in observations] == [True, False, True]
+            chunks.clear()
+            sandbox.run_batch("bank", sources, mode="pool", iterations=5)
+            assert chunks == [3]  # both slots free: the pool's own size bounds it
+        assert slots.in_use == 0
+
+
+class TestSandboxSlots:
+    def test_a_claim_takes_what_is_free_and_waits_for_one(self):
+        slots = SandboxSlots(3)
+        granted: list[int] = []
+
+        def late_claim() -> None:
+            with slots.claim(2) as count:
+                granted.append(count)
+
+        with slots.claim(2) as first, slots.claim(5) as second:
+            assert (first, second, slots.in_use) == (2, 1, 3)
+            waiter = threading.Thread(target=late_claim)
+            waiter.start()
+            time.sleep(0.05)
+            assert granted == []  # no slot is free
+        waiter.join(timeout=5)
+        assert granted == [2]
+        assert slots.in_use == 0
 
 
 @pytest.mark.pool
