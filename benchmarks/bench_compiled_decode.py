@@ -1,11 +1,12 @@
 """BENCH_COMPILED_DECODE — compiled grammar automatons vs interpreted decoding.
 
-The interpreted constrained-decoding path re-derives every prompt's constraint
-set per call, copies the policy's probability matrices to one-hot the pinned
-rows, and re-runs temperature/truncation maths for every sampled attempt of
-every slot.  The compiled path (``repro.llm.compiled_grammar``) compiles each
-prompt's constraints once into a cached :class:`DecisionAutomaton`, jumps
-forward through force-determined slots, and replays sampled draws through
+The interpreted constrained decode (``tests/oracles/interpreted_decode.py``)
+re-derives every prompt's constraint set per call, copies the policy's
+probability matrices to one-hot the pinned rows, and re-runs
+temperature/truncation maths for every sampled attempt of every slot.  The
+library's decoder (``repro.llm.compiled_grammar``) compiles each prompt's
+constraints once into a cached :class:`DecisionAutomaton`, jumps forward
+through force-determined slots, and replays sampled draws through
 precomputed :class:`DecodePlan` CDF tables.
 
 Workloads, each asserted byte-identical to the interpreted oracle (rendered
@@ -28,15 +29,20 @@ faults, decision vectors, log-probabilities, and the decoder RNG stream):
 from __future__ import annotations
 
 import os
+import sys
 import time
+from pathlib import Path
 
 from repro.config import ModelConfig
-from repro.llm import CodeGrammar, FaultGenerator
+from repro.llm import CodeGrammar, DecisionAutomaton, FaultGenerator
 from repro.nlp import CodeAnalyzer, FaultSpecExtractor, PromptBuilder
 from repro.rng import SeededRNG
 from repro.targets import get_target
 
 from conftest import write_result
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles.interpreted_decode import constrained_distributions_batch, interpreted_generator  # noqa: E402
 
 QUICK = os.environ.get("BENCH_QUICK", "") not in ("", "0")
 
@@ -87,8 +93,10 @@ def build_prompts():
 
 
 def make_generator(compiled: bool) -> FaultGenerator:
-    config = ModelConfig(compiled_decode=compiled)
-    return FaultGenerator(config, rng=SeededRNG(17, namespace="generator"))
+    rng = SeededRNG(17, namespace="generator")
+    if compiled:
+        return FaultGenerator(ModelConfig(), rng=rng)
+    return interpreted_generator(ModelConfig(), rng)
 
 
 def rng_state(generator: FaultGenerator):
@@ -111,24 +119,29 @@ def assert_rendered_identical(prompt, interpreted_result, compiled_result, gramm
 def measure_generation_decode(prompts):
     """The decode-bound slice: distributions + diverse candidate decoding.
 
-    The interpreted reference is exactly what the library does without
-    automatons: derive constrained per-prompt distributions, then run
-    temperature/truncation per sampled attempt.  Rendering is excluded from
-    the timed region on both sides — the render cache is decode-independent
-    and would drown the decode cost being measured.
+    The interpreted reference is the decode without automatons: one
+    constrained batch copy per round pinned from ``constraint_slots``, then
+    temperature/truncation and ``Generator.choice`` per sampled attempt
+    (the rows are already constrained, so the oracle decodes them under an
+    unconstrained automaton).  Rendering is excluded from the timed region
+    on both sides — the render cache is decode-independent and would drown
+    the decode cost being measured.
     """
     interpreted = make_generator(False)
     compiled = make_generator(True)
+    unconstrained = DecisionAutomaton.from_constraints({})
 
     started = time.perf_counter()
     interpreted_rounds = []
     for _round in range(DECODE_ROUNDS):
-        distributions = interpreted.prompt_distributions(prompts)
+        distributions = constrained_distributions_batch(interpreted, prompts)
         row_results = []
         for row in range(len(prompts)):
             row_distributions = {slot: matrix[row] for slot, matrix in distributions.items()}
             row_results.append(
-                interpreted.decoder.diverse_candidates(row_distributions, CANDIDATES_PER_PROMPT)
+                interpreted.decoder.diverse_candidates(
+                    row_distributions, CANDIDATES_PER_PROMPT, automaton=unconstrained
+                )
             )
         interpreted_rounds.append(row_results)
     interpreted_seconds = time.perf_counter() - started
@@ -136,7 +149,7 @@ def measure_generation_decode(prompts):
     started = time.perf_counter()
     compiled_rounds = []
     for _round in range(DECODE_ROUNDS):
-        distributions = compiled.prompt_distributions(prompts, constrained=False)
+        distributions = compiled.prompt_distributions(prompts)
         row_results = []
         for row, prompt in enumerate(prompts):
             row_distributions = {slot: matrix[row] for slot, matrix in distributions.items()}

@@ -641,11 +641,8 @@ class FaultInjectionEngine:
         if not live:
             return
 
-        compiled = self.config.model.compiled_decode
         try:
-            distributions = self.generator.prompt_distributions(
-                [p for _, p in live], constrained=not compiled
-            )
+            distributions = self.generator.prompt_distributions([p for _, p in live])
         except ReproError as exc:
             for ticket, _prompt in live:
                 self._resolve_error(ticket, exc, dispatch_started)
@@ -658,7 +655,6 @@ class FaultInjectionEngine:
             row_distributions = {slot: matrix[row] for slot, matrix in distributions.items()}
             decode_started = time.monotonic()
             try:
-                automaton = self.generator.compiler.compile(prompt) if compiled else None
                 candidate = self.generator.decode_prompt(
                     prompt,
                     row_distributions,
@@ -667,7 +663,7 @@ class FaultInjectionEngine:
                     temperature=request.temperature,
                     top_k=request.top_k,
                     top_p=request.top_p,
-                    automaton=automaton,
+                    automaton=self.generator.compiler.compile(prompt),
                 )
             except ReproError as exc:
                 self._resolve_error(ticket, exc, dispatch_started)

@@ -23,11 +23,7 @@ class ModelConfig:
     :class:`~repro.llm.grammar.CodeGrammar`, and
     :class:`~repro.llm.compiled_grammar.GrammarCompiler` (LRU entries; ``0``
     disables a cache entirely, which the benchmarks use for the uncached
-    per-sample reference path).  ``compiled_decode`` routes generation
-    through the compiled-grammar decode engine (cached decision automatons
-    with jump-forward over force-determined slots); it is behaviourally
-    equivalent to the interpreted path — identical faults and RNG streams —
-    and exists as a flag for the ablation benchmark and differential tests.
+    per-sample reference path).
     """
 
     embedding_dim: int = 32
@@ -42,7 +38,6 @@ class ModelConfig:
     spec_constraint_threshold: float = 0.3
     encoder_cache_size: int = 2048
     render_cache_size: int = 1024
-    compiled_decode: bool = True
     compiled_cache_size: int = 512
 
     def __post_init__(self) -> None:

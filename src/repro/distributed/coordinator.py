@@ -200,6 +200,18 @@ class DistributedPool:
         with self._lock:
             return len(self._workers)
 
+    def wait_for_workers(self, count: int, timeout: float) -> bool:
+        """Block until at least ``count`` workers have registered.
+
+        Returns:
+            Whether ``count`` workers were ready to take leases before
+            ``timeout`` seconds passed.
+        """
+        with self._wake:
+            return self._wake.wait_for(
+                lambda: sum(link.ready for link in self._workers.values()) >= count, timeout
+            )
+
     def check_liveness(self) -> bool:
         """Parity with ``WorkerPool``: whether the plane looks healthy.
 

@@ -7,6 +7,11 @@ pointed at a coordinator address, watches them, and **respawns** any that die
 (a deliberate chaos kill, an OOM, a crash) so capacity recovers — each
 respawn is what the coordinator reports as a ``pool_rebuild``.
 
+Each worker runs in its own session, so the sandbox children its inner pool
+forks share its process group.  The fleet signals whole groups — when it
+reaps a dead worker and when it shuts down — so no sandbox child outlives
+the worker that forked it, however that worker died.
+
 The same class backs three surfaces: the coordinator's auto-spawned fleet
 (``DistributedConfig.spawn_workers``), the ``launch-workers`` CLI command for
 manual topologies, and the differential/benchmark suites.
@@ -15,6 +20,7 @@ manual topologies, and the differential/benchmark suites.
 from __future__ import annotations
 
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -124,6 +130,7 @@ class LocalWorkerFleet:
             env=_worker_environment(),
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
 
     def alive_count(self) -> int:
@@ -139,7 +146,12 @@ class LocalWorkerFleet:
         """
         if self._closed:
             return 0
-        survivors = [process for process in self._processes if process.poll() is None]
+        survivors = []
+        for process in self._processes:
+            if process.poll() is None:
+                survivors.append(process)
+            else:
+                _signal_group(process, signal.SIGKILL)  # sandbox children of the dead worker
         respawned = 0
         while len(survivors) < self.workers:
             survivors.append(self._spawn())
@@ -149,7 +161,11 @@ class LocalWorkerFleet:
         return respawned
 
     def shutdown(self, grace_seconds: float = 2.0) -> None:
-        """Stop maintaining the fleet and terminate every worker (idempotent).
+        """Stop maintaining the fleet and terminate every worker group (idempotent).
+
+        Every worker's process group gets SIGTERM, then SIGKILL once the
+        worker exited or ``grace_seconds`` ran out — including the groups of
+        workers that had already died, whose sandbox children may remain.
 
         Args:
             grace_seconds: How long to wait for SIGTERM before SIGKILL.
@@ -159,16 +175,16 @@ class LocalWorkerFleet:
         self._closed = True
         processes, self._processes = self._processes, []
         for process in processes:
-            if process.poll() is None:
-                process.terminate()
+            _signal_group(process, signal.SIGTERM)
         deadline = time.monotonic() + grace_seconds
         for process in processes:
             remaining = deadline - time.monotonic()
             try:
                 process.wait(timeout=max(remaining, 0.05))
             except subprocess.TimeoutExpired:
-                process.kill()
-                process.wait()
+                pass
+            _signal_group(process, signal.SIGKILL)
+            process.wait()
 
     def __enter__(self) -> "LocalWorkerFleet":
         self.start()
@@ -176,6 +192,14 @@ class LocalWorkerFleet:
 
     def __exit__(self, *_exc_info) -> None:
         self.shutdown()
+
+
+def _signal_group(process: subprocess.Popen, signum: int) -> None:
+    """Send ``signum`` to the process group ``process`` leads, if any member is left."""
+    try:
+        os.killpg(process.pid, signum)
+    except ProcessLookupError:
+        pass
 
 
 def launch_workers(connect: str, workers: int = 4, capacity: int = 1) -> "LocalWorkerFleet":

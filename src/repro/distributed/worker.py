@@ -14,8 +14,9 @@ a wedged or killed worker is detected and its lease requeued.
 
 Worker-plane self-chaos (:mod:`repro.resilience.chaos`) is acted out *here*,
 at the process boundary the distributed plane adds: a scheduled ``crash``
-SIGKILLs this whole worker process (after reaping the inner pool so no
-sandbox children are orphaned), a ``delay`` stalls before execution, and a
+SIGKILLs this whole worker process (the localhost fleet then reaps the
+sandbox children left in its process group), a ``delay`` stalls before
+execution, and a
 ``drop`` silently omits the computed result from the RESULT frame.  Decisions
 are the same pure ``(seed, key, attempt)`` hashes as local chaos and fire
 only on attempt 0, so supervised requeues always converge on clean results.
@@ -275,10 +276,9 @@ class RemoteWorker:
     def _apply_chaos(self, task: Mapping[str, Any], dropped: set[str]) -> None:
         """Act out the chaos the coordinator scheduled for one task.
 
-        A ``crash`` reaps the inner sandbox pool first (so no sandbox
-        children outlive this process) and then SIGKILLs the worker — from
-        the coordinator's side an abrupt connection loss, exactly like a
-        machine death.
+        A ``crash`` releases the inner sandbox pool and then SIGKILLs the
+        worker — from the coordinator's side an abrupt connection loss,
+        exactly like a machine death.
         """
         payload = task.get("chaos")
         if not payload:

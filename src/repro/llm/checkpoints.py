@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -39,8 +40,10 @@ def load_checkpoint(directory: str | Path, name: str = "policy") -> PolicyNetwor
         raise CheckpointError(f"checkpoint {name!r} not found in {directory}")
     try:
         metadata = json.loads(meta_path.read_text())
-        config = ModelConfig(**metadata["config"])
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        # Checkpoints written before a ModelConfig field was retired still load.
+        known = {field.name for field in dataclasses.fields(ModelConfig)}
+        config = ModelConfig(**{k: v for k, v in metadata["config"].items() if k in known})
+    except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
         raise CheckpointError(f"invalid checkpoint metadata in {meta_path}: {exc}") from exc
     with np.load(array_path) as arrays:
         state = {key: arrays[key] for key in arrays.files}

@@ -1,38 +1,34 @@
-"""Compiled fault-grammar automatons for constrained decoding.
+"""Compiled fault-grammar automatons: the decoder's constraint engine.
 
-The interpreted constrained-decoding path re-derives every prompt's decoding
-constraints on each call and applies them by copying the policy's probability
-matrices and overwriting constrained rows with one-hots
-(:meth:`~repro.llm.generator.FaultGenerator._constrained_distributions`).
-That work is pure per-prompt: the constraint set depends only on the prompt's
-spec and feedback directives, never on the sampled path.  This module borrows
-the compiled-grammar idiom of constrained-decoding inference stacks (compile
-once per grammar, mask invalid tokens per step, *jump forward* through
-force-determined runs):
+A prompt's decoding constraints depend only on its spec and feedback
+directives, never on the sampled path, so they are compiled once per prompt.
+This module borrows the compiled-grammar idiom of constrained-decoding
+inference stacks (compile once per grammar, mask invalid tokens per step,
+*jump forward* through force-determined runs):
 
 * :func:`constraint_slots` — the single source of truth for which decision
   slots a prompt pins (spec-confidence template constraint plus explicit
   tester-feedback directives);
-* :class:`DecisionAutomaton` — the compiled form: per-step boolean validity
-  masks over every decision slot, with fully force-determined slots promoted
-  to *jump-forward* transitions the decoder resolves without touching the
-  probability matrices;
+* :class:`DecisionAutomaton` — the compiled form: per-slot boolean validity
+  masks, with every pinned slot a *jump-forward* transition the decoder
+  resolves without touching the probability matrices;
 * :class:`GrammarCompiler` — compiles and caches one automaton per prompt,
   keyed by ``prompt.cache_key()`` like the ``CodeGrammar`` render cache, with
   the same ``cache_info()`` / ``export_cache()`` / ``import_cache()`` surface
   so the engine can persist warm automatons alongside rendered faults;
 * :class:`DecodePlan` — per-call sampling tables (tempered/truncated CDFs)
   that let repeated sampling replay a categorical draw with one uniform and
-  one ``searchsorted`` per slot, bit-identical to the interpreted
-  ``Generator.choice`` stream.
+  one ``searchsorted`` per slot, bit-identical to ``Generator.choice``.
 
-Equivalence contract: for the same prompt, distributions, seed, and sampling
-parameters, the compiled path consumes the decoder RNG exactly like the
-interpreted path (one uniform per slot per sampled attempt, none for greedy)
-and selects identical decision indices — including the ~1e-12 probability
-tail that temperature scaling leaves on non-forced values of a one-hot slot,
-which the plan reproduces by replaying the tempered one-hot CDF instead of
-short-circuiting to the forced index.
+Equivalence contract: decoding through an automaton gives the same decisions,
+log-probabilities, and decoder RNG stream as one-hotting the pinned slots of
+a copy of the distributions and decoding that copy with per-attempt
+temperature/truncation maths (one uniform per slot per sampled attempt, none
+for greedy) — including the ~1e-12 probability tail that temperature scaling
+leaves on non-forced values of a one-hot slot, which the plan reproduces by
+replaying the tempered one-hot CDF instead of short-circuiting to the forced
+index.  ``tests/oracles/interpreted_decode.py`` keeps that one-hot decoder as
+the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -45,11 +41,6 @@ from ..config import ModelConfig
 from ..nlp.prompt_builder import GenerationPrompt
 from .cache import KeyedLruCache
 from .decisions import DECISION_SLOTS
-
-#: Log-probability an interpreted one-hot slot contributes to the joint
-#: (``log(1.0 + 1e-12)``); forced-slot readback must reproduce it bit-exactly.
-FORCED_LOGPROB = float(np.log(1.0 + 1e-12))
-
 
 def feedback_forced_slots(prompt: GenerationPrompt) -> dict[str, str]:
     """Decision slots pinned by explicit tester feedback directives.
@@ -107,8 +98,7 @@ def spec_constraint(prompt: GenerationPrompt, config: ModelConfig) -> dict[str, 
 def constraint_slots(prompt: GenerationPrompt, config: ModelConfig) -> dict[str, str]:
     """Every decision slot the grammar pins for ``prompt`` (feedback wins).
 
-    Merged exactly as the interpreted path does: the spec constraint first,
-    explicit feedback directives layered on top.
+    The spec constraint first, explicit feedback directives layered on top.
     """
     constraints = spec_constraint(prompt, config)
     constraints.update(feedback_forced_slots(prompt))
@@ -120,16 +110,13 @@ class DecisionAutomaton:
     """The compiled decoding constraints of one prompt.
 
     ``masks`` holds one boolean validity vector per decision slot (``True``
-    entries are decodable); any slot whose mask admits exactly one value is
-    promoted into ``forced`` so the decoder can *jump forward* — resolve the
-    slot from the automaton instead of running argmax/sampling machinery over
-    the probability matrix.  Slots whose mask admits several-but-not-all
-    values are indexed in ``partial_masks`` (today's grammar never produces
-    them — constraints pin exactly one value — but the decoder honours them:
-    masked-out decisions get exactly zero probability and are never
-    selected).  ``jump_forward_taken`` counts the jump shortcuts; it is a
-    plain integer (not lock-protected), so under concurrent decoding it is
-    approximate — it exists for observability and tests, not billing.
+    entries are decodable).  Constraints pin exactly one value per slot, so
+    every constrained slot is *forced*: ``forced`` maps it to the pinned
+    index and the decoder *jumps forward* — resolves the slot from the
+    automaton instead of running argmax/sampling machinery over the
+    probability matrix.  ``jump_forward_taken`` counts the jump shortcuts; it
+    is a plain integer (not lock-protected), so under concurrent decoding it
+    is approximate — it exists for observability and tests, not billing.
 
     Automatons are plain data (numpy bool vectors + ints) and pickle cleanly
     for :meth:`GrammarCompiler.export_cache` persistence.
@@ -137,7 +124,6 @@ class DecisionAutomaton:
 
     masks: dict[str, np.ndarray]
     forced: dict[str, int] = field(default_factory=dict)
-    partial_masks: dict[str, np.ndarray] = field(default_factory=dict)
     jump_forward_taken: int = 0
 
     @classmethod
@@ -145,21 +131,15 @@ class DecisionAutomaton:
         """Compile a slot->value constraint mapping into masks + jumps."""
         masks: dict[str, np.ndarray] = {}
         forced: dict[str, int] = {}
-        partial: dict[str, np.ndarray] = {}
         for slot, values in DECISION_SLOTS.items():
             mask = np.ones(len(values), dtype=bool)
             pinned = constraints.get(slot)
             if pinned is not None:
+                forced[slot] = values.index(pinned)
                 mask[:] = False
-                mask[values.index(pinned)] = True
+                mask[forced[slot]] = True
             masks[slot] = mask
-        for slot, mask in masks.items():
-            valid = np.flatnonzero(mask)
-            if valid.size == 1:
-                forced[slot] = int(valid[0])
-            elif valid.size < mask.size:
-                partial[slot] = mask
-        return cls(masks=masks, forced=forced, partial_masks=partial)
+        return cls(masks=masks, forced=forced)
 
     def is_forced(self, slot: str) -> bool:
         """Whether ``slot`` is fully force-determined (a jump-forward edge)."""
@@ -169,32 +149,18 @@ class DecisionAutomaton:
         """Whether decision ``index`` is valid for ``slot`` under the masks."""
         return bool(self.masks[slot][index])
 
-    def constrain(self, distributions: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """The interpreted-equivalent constrained copies of raw distributions.
-
-        Reference adapter (and masking fallback for partially-masked slots):
-        forced slots become exact one-hots, free slots are copied verbatim —
-        byte-identical to what the interpreted
-        ``_constrained_distributions`` produces.
-        """
-        constrained = {slot: probs.copy() for slot, probs in distributions.items()}
-        for slot, index in self.forced.items():
-            constrained[slot][:] = 0.0
-            constrained[slot][index] = 1.0
-        return constrained
-
 
 class DecodePlan:
     """Precomputed per-slot sampling tables for one (distributions, params) pair.
 
-    The interpreted sampler recomputes temperature scaling and top-k/top-p
-    truncation for every attempt of every slot; a plan runs that maths once
-    and replays each categorical draw as ``cdf.searchsorted(u, 'right')`` —
-    the exact formula ``numpy.random.Generator.choice`` applies internally,
-    so replayed indices (and the RNG stream) are bit-identical to the
-    interpreted path.  Forced slots keep a CDF too (the tempered one-hot):
-    burning one uniform through it per attempt reproduces the interpreted
-    stream *and* its residual ~1e-12 tail mass exactly.
+    A plan runs temperature scaling and top-k/top-p truncation once instead
+    of per sampled attempt, and replays each categorical draw as
+    ``cdf.searchsorted(u, 'right')`` — the exact formula
+    ``numpy.random.Generator.choice`` applies internally, so replayed indices
+    (and the RNG stream) are bit-identical to a per-attempt ``choice`` draw.
+    Forced slots keep a CDF too (the tempered one-hot): burning one uniform
+    through it per attempt reproduces the one-hot decode's stream *and* its
+    residual ~1e-12 tail mass exactly.
     """
 
     __slots__ = ("cdfs", "forced")
@@ -227,13 +193,6 @@ class DecodePlan:
                 base = probs
             adjusted = Decoder._apply_temperature(base, temperature)
             adjusted = Decoder._truncate(adjusted, top_k, top_p)
-            mask = automaton.partial_masks.get(slot)
-            if mask is not None:
-                # Partially-masked slots (compiled-only semantics): invalid
-                # decisions get exactly zero mass, so their CDF segment has
-                # zero width and replay can never select them.
-                adjusted = np.where(mask, adjusted, 0.0)
-                adjusted /= np.sum(adjusted)
             cdf = adjusted.cumsum()
             cdf /= cdf[-1]
             cdfs[slot] = cdf
@@ -268,10 +227,11 @@ class GrammarCompiler:
         if not self._cache.enabled:
             return DecisionAutomaton.from_constraints(constraint_slots(prompt, self._config))
         key = prompt.cache_key()
-        automaton = self._cache.get(key)
-        if automaton is None:
-            automaton = DecisionAutomaton.from_constraints(constraint_slots(prompt, self._config))
-            self._cache.put(key, automaton)
+        cached = self._cache.get(key)
+        if cached is not None:
+            return cached
+        automaton = DecisionAutomaton.from_constraints(constraint_slots(prompt, self._config))
+        self._cache.put(key, automaton)
         return automaton
 
     def plan_for(

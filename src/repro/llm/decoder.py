@@ -14,15 +14,13 @@ batched sampling draws from the same truncated distributions but consumes the
 RNG stream in a different order, so it is deterministic per batch rather than
 per prompt.
 
-Every strategy additionally accepts a compiled
-:class:`~repro.llm.compiled_grammar.DecisionAutomaton` (and the ``*_batch``
-variants a per-row automaton list).  With an automaton the decoder works on
-the policy's *raw* distributions: force-determined slots are resolved by
-jumping forward through the automaton instead of argmax/sampling machinery,
-partially-masked slots never select zero-probability decisions, and sampled
-slots replay the interpreted categorical draw through precomputed
-:class:`~repro.llm.compiled_grammar.DecodePlan` CDF tables — consuming the
-``SeededRNG`` stream bit-identically to the interpreted constrained path
+Every strategy decodes the policy's *raw* distributions through a compiled
+:class:`~repro.llm.compiled_grammar.DecisionAutomaton` (the ``*_batch``
+variants through a per-row automaton list; an unconstrained prompt uses
+``DecisionAutomaton.from_constraints({})``).  Force-determined slots are
+resolved by jumping forward through the automaton instead of argmax/sampling
+machinery, and sampled slots replay their categorical draw through
+precomputed :class:`~repro.llm.compiled_grammar.DecodePlan` CDF tables
 (one uniform per slot per attempt, none for greedy).
 """
 
@@ -58,31 +56,22 @@ class Decoder:
         self._rng = rng or SeededRNG(self._config.seed, namespace="decoder")
 
     def greedy(
-        self, distributions: dict[str, np.ndarray], automaton: DecisionAutomaton | None = None
+        self, distributions: dict[str, np.ndarray], automaton: DecisionAutomaton
     ) -> DecodingResult:
         """Pick the argmax value for every slot.
 
-        With a compiled ``automaton`` the input distributions are the *raw*
-        policy outputs: forced slots jump forward to their pinned index
-        without touching the probability vector, partially-masked slots take
-        the argmax over valid entries only, and the result mirrors the
-        interpreted constrained readback exactly (forced slots report
-        probability 1.0).
+        Forced slots jump forward to their pinned index without touching the
+        probability vector and report probability 1.0.
         """
-        if automaton is None:
-            choices = {slot: int(np.argmax(probs)) for slot, probs in distributions.items()}
-            return self._result(distributions, choices, strategy="greedy")
         choices = {}
         for slot, probs in distributions.items():
             index = automaton.forced.get(slot)
-            if index is not None:
-                automaton.jump_forward_taken += 1
-            elif slot in automaton.partial_masks:
-                index = int(np.argmax(np.where(automaton.partial_masks[slot], probs, -np.inf)))
-            else:
+            if index is None:
                 index = int(np.argmax(probs))
+            else:
+                automaton.jump_forward_taken += 1
             choices[slot] = index
-        return self._result_compiled(distributions, choices, "greedy", automaton)
+        return self._result(distributions, choices, "greedy", automaton)
 
     def sample(
         self,
@@ -90,18 +79,16 @@ class Decoder:
         temperature: float | None = None,
         top_k: int | None = None,
         top_p: float | None = None,
-        automaton: DecisionAutomaton | None = None,
+        *,
+        automaton: DecisionAutomaton,
         plan: DecodePlan | None = None,
     ) -> DecodingResult:
         """Sample each slot with temperature / top-k / nucleus truncation.
 
-        With a compiled ``automaton`` each slot's categorical draw is
-        replayed through a :class:`DecodePlan` CDF table instead of the
-        per-attempt temperature/truncation maths.  One uniform is consumed
-        per slot either way — forced slots burn theirs through the tempered
-        one-hot CDF — so the RNG stream and the chosen indices are
-        bit-identical to the interpreted path.  A caller-supplied ``plan``
-        must have been built for these distributions and sampling parameters
+        Each slot's categorical draw is replayed through a :class:`DecodePlan`
+        CDF table, consuming one uniform per slot — forced slots burn theirs
+        through the tempered one-hot CDF.  A caller-supplied ``plan`` must
+        have been built for these distributions and sampling parameters
         (:meth:`diverse_candidates` and the dedup-aware generator reuse one
         plan across attempts and duplicate prompts).
         """
@@ -110,13 +97,6 @@ class Decoder:
         top_p = top_p if top_p is not None else self._config.top_p
         if temperature <= 0:
             raise GenerationError("temperature must be positive")
-        if automaton is None:
-            choices: dict[str, int] = {}
-            for slot, probs in distributions.items():
-                adjusted = self._apply_temperature(probs, temperature)
-                adjusted = self._truncate(adjusted, top_k, top_p)
-                choices[slot] = int(self._rng.generator.choice(len(adjusted), p=adjusted))
-            return self._result(distributions, choices, strategy="sample")
         if plan is None:
             plan = DecodePlan.for_sampling(distributions, automaton, temperature, top_k, top_p)
         choices = {}
@@ -125,14 +105,15 @@ class Decoder:
             choices[slot] = plan.replay(slot, uniform)
             if slot in plan.forced:
                 automaton.jump_forward_taken += 1
-        return self._result_compiled(distributions, choices, "sample", automaton)
+        return self._result(distributions, choices, "sample", automaton)
 
     def diverse_candidates(
         self,
         distributions: dict[str, np.ndarray],
         count: int,
         temperature: float | None = None,
-        automaton: DecisionAutomaton | None = None,
+        *,
+        automaton: DecisionAutomaton,
         plan: DecodePlan | None = None,
         first: DecodingResult | None = None,
     ) -> list[DecodingResult]:
@@ -144,16 +125,15 @@ class Decoder:
         their strategy, so downstream diversity statistics can exclude them
         instead of silently double-counting.
 
-        With a compiled ``automaton`` every sampled attempt replays through
-        one shared :class:`DecodePlan` (built once instead of per attempt);
-        ``plan`` and ``first`` let duplicate prompts in a batch additionally
-        share the plan and the RNG-free greedy head across rows.  The
-        sampled stream stays bit-identical to the interpreted path.
+        Every sampled attempt replays through one shared :class:`DecodePlan`
+        (built once instead of per attempt); ``plan`` and ``first`` let
+        duplicate prompts in a batch additionally share the plan and the
+        RNG-free greedy head across rows.
         """
         if count <= 0:
             raise GenerationError("candidate count must be positive")
         effective = temperature or max(self._config.temperature, 1.2)
-        if automaton is not None and plan is None:
+        if plan is None:
             plan = DecodePlan.for_sampling(
                 distributions, automaton, effective, self._config.top_k, self._config.top_p
             )
@@ -182,20 +162,15 @@ class Decoder:
     def greedy_batch(
         self,
         distributions: dict[str, np.ndarray],
-        automatons: list[DecisionAutomaton] | None = None,
+        automatons: list[DecisionAutomaton],
     ) -> list[DecodingResult]:
         """Per-row argmax over ``(B, |slot|)`` distribution matrices.
 
         Row ``i`` of the result equals ``self.greedy`` on row ``i``'s
-        distributions exactly (``np.argmax`` row-wise is ``np.argmax``
-        per vector).  With per-row compiled ``automatons`` the matrices are
-        the raw policy outputs: forced rows jump forward and only the free
-        rows run the argmax (on a row-gathered submatrix, which is
+        distributions and automaton.  Forced rows jump forward and only the
+        free rows run the argmax (on a row-gathered submatrix, which is
         bit-identical to row-wise argmax on the full matrix).
         """
-        if automatons is None:
-            choices = {slot: np.argmax(probs, axis=1) for slot, probs in distributions.items()}
-            return self._results_batch(distributions, choices, strategy="greedy")
         batch = len(automatons)
         choices = {}
         for slot, probs in distributions.items():
@@ -210,14 +185,9 @@ class Decoder:
                     free_rows.append(row)
             if free_rows:
                 free = np.asarray(free_rows, dtype=np.intp)
-                submatrix = probs[free]  # fancy indexing copies; safe to mask in place
-                for position, row in enumerate(free_rows):
-                    mask = automatons[row].partial_masks.get(slot)
-                    if mask is not None:
-                        submatrix[position] = np.where(mask, submatrix[position], -np.inf)
-                indices[free] = np.argmax(submatrix, axis=1)
+                indices[free] = np.argmax(probs[free], axis=1)
             choices[slot] = indices
-        return self._results_batch_compiled(distributions, choices, "greedy", automatons)
+        return self._results_batch(distributions, choices, "greedy", automatons)
 
     def sample_batch(
         self,
@@ -225,7 +195,8 @@ class Decoder:
         temperature: float | None = None,
         top_k: int | None = None,
         top_p: float | None = None,
-        automatons: list[DecisionAutomaton] | None = None,
+        *,
+        automatons: list[DecisionAutomaton],
     ) -> list[DecodingResult]:
         """Sample every (row, slot) with one RNG vector per slot.
 
@@ -235,31 +206,16 @@ class Decoder:
         batch of ``B`` prompts costs ``len(slots)`` RNG calls instead of
         ``B * len(slots)``.
 
-        With per-row compiled ``automatons`` the temperature/truncation maths
-        runs only over the free rows (a row-gathered submatrix — row-wise ops
-        make this bit-identical to the full-matrix path), while forced rows
-        replay their draw through one shared tempered one-hot CDF per
-        (slot, forced index).  The uniform vector per slot is drawn exactly
-        as in the interpreted path, so the RNG stream and every selected
-        index match bit-for-bit.
+        The temperature/truncation maths runs only over the free rows (a
+        row-gathered submatrix — row-wise ops make this bit-identical to the
+        full-matrix maths), while forced rows replay their draw through one
+        shared tempered one-hot CDF per (slot, forced index).
         """
         temperature = temperature if temperature is not None else self._config.temperature
         top_k = top_k if top_k is not None else self._config.top_k
         top_p = top_p if top_p is not None else self._config.top_p
         if temperature <= 0:
             raise GenerationError("temperature must be positive")
-        if automatons is None:
-            choices: dict[str, np.ndarray] = {}
-            for slot, probs in distributions.items():
-                adjusted = self._apply_temperature_rows(probs, temperature)
-                adjusted = self._truncate_rows(adjusted, top_k, top_p)
-                cumulative = np.cumsum(adjusted, axis=1)
-                draws = self._rng.generator.random(probs.shape[0])
-                # Index of the first CDF entry strictly above the draw; the <=
-                # comparison keeps zero-probability prefixes unselectable.
-                indices = np.sum(cumulative <= draws[:, None], axis=1)
-                choices[slot] = np.minimum(indices, probs.shape[1] - 1)
-            return self._results_batch(distributions, choices, strategy="sample")
         batch = len(automatons)
         onehot_cumulative: dict[tuple[str, int], np.ndarray] = {}
         choices = {}
@@ -267,19 +223,14 @@ class Decoder:
             vocabulary = probs.shape[1]
             indices = np.empty(batch, dtype=np.intp)
             free_rows = [row for row in range(batch) if slot not in automatons[row].forced]
-            adjusted = None
+            draws = self._rng.generator.random(batch)
             if free_rows:
                 free = np.asarray(free_rows, dtype=np.intp)
                 adjusted = self._apply_temperature_rows(probs[free], temperature)
                 adjusted = self._truncate_rows(adjusted, top_k, top_p)
-                for position, row in enumerate(free_rows):
-                    mask = automatons[row].partial_masks.get(slot)
-                    if mask is not None:
-                        masked = np.where(mask, adjusted[position], 0.0)
-                        adjusted[position] = masked / np.sum(masked)
-            draws = self._rng.generator.random(batch)
-            if free_rows:
                 cumulative = np.cumsum(adjusted, axis=1)
+                # Index of the first CDF entry strictly above the draw; the <=
+                # comparison keeps zero-probability prefixes unselectable.
                 free_indices = np.sum(cumulative <= draws[free][:, None], axis=1)
                 indices[free] = np.minimum(free_indices, vocabulary - 1)
             forced_groups: dict[int, list[int]] = {}
@@ -302,37 +253,7 @@ class Decoder:
                 group_indices = np.sum(cumulative_row[None, :] <= draws[group][:, None], axis=1)
                 indices[group] = np.minimum(group_indices, vocabulary - 1)
             choices[slot] = indices
-        return self._results_batch_compiled(distributions, choices, "sample", automatons)
-
-    def diverse_candidates_batch(
-        self,
-        distributions: dict[str, np.ndarray],
-        count: int,
-        temperature: float | None = None,
-        automatons: list[DecisionAutomaton] | None = None,
-    ) -> list[list[DecodingResult]]:
-        """Per-row :meth:`diverse_candidates` over batched distributions.
-
-        Candidate sets are produced row by row in input order, so the RNG
-        stream (and therefore every candidate) is identical to calling
-        :meth:`diverse_candidates` on each prompt's distributions in sequence.
-        With per-row compiled ``automatons`` each row decodes through its
-        automaton (dedup-aware plan sharing across duplicate rows lives in
-        :meth:`repro.llm.FaultGenerator.candidates_batch`).
-        """
-        batch = next(iter(distributions.values())).shape[0] if distributions else 0
-        results: list[list[DecodingResult]] = []
-        for row in range(batch):
-            row_distributions = {slot: probs[row] for slot, probs in distributions.items()}
-            results.append(
-                self.diverse_candidates(
-                    row_distributions,
-                    count,
-                    temperature=temperature,
-                    automaton=automatons[row] if automatons is not None else None,
-                )
-            )
-        return results
+        return self._results_batch(distributions, choices, "sample", automatons)
 
     # -- helpers -----------------------------------------------------------------
 
@@ -403,18 +324,17 @@ class Decoder:
         return adjusted / totals
 
     @staticmethod
-    def _result_compiled(
+    def _result(
         distributions: dict[str, np.ndarray],
         choices: dict[str, int],
         strategy: str,
         automaton: DecisionAutomaton,
     ) -> DecodingResult:
-        """Result readback for compiled decoding over *raw* distributions.
+        """Result readback over *raw* distributions.
 
-        Mirrors the interpreted :meth:`_result` on the constrained copies
-        bit-for-bit: forced slots report the one-hot probability (1.0 when
-        the forced index was selected, 0.0 on the ~1e-12 tempered tail) and
-        the same scalar ``log(p + 1e-12)`` accumulation order.  Values come
+        Forced slots report their one-hot probability (1.0 when the forced
+        index was selected, 0.0 on the ~1e-12 tempered tail); the joint
+        accumulates scalar ``log(p + 1e-12)`` in slot order.  Values come
         straight from the decision schema, so the vector is constructed
         without re-validation.
         """
@@ -438,13 +358,13 @@ class Decoder:
         )
 
     @staticmethod
-    def _results_batch_compiled(
+    def _results_batch(
         distributions: dict[str, np.ndarray],
         choices: dict[str, np.ndarray],
         strategy: str,
         automatons: list[DecisionAutomaton],
     ) -> list[DecodingResult]:
-        """Vectorized result readback for compiled batched decoding.
+        """Vectorized result readback for batched decoding.
 
         Chosen probabilities are gathered per slot in one indexing pass
         (forced rows overridden to their one-hot readback) and the joint
@@ -476,35 +396,3 @@ class Decoder:
                 )
             )
         return results
-
-    def _results_batch(
-        self, distributions: dict[str, np.ndarray], choices: dict[str, np.ndarray], strategy: str
-    ) -> list[DecodingResult]:
-        batch = next(iter(choices.values())).shape[0] if choices else 0
-        return [
-            self._result(
-                {slot: probs[row] for slot, probs in distributions.items()},
-                {slot: int(indices[row]) for slot, indices in choices.items()},
-                strategy=strategy,
-            )
-            for row in range(batch)
-        ]
-
-    @staticmethod
-    def _result(
-        distributions: dict[str, np.ndarray], choices: dict[str, int], strategy: str
-    ) -> DecodingResult:
-        values = {slot: DECISION_SLOTS[slot][index] for slot, index in choices.items()}
-        decisions = DecisionVector.from_dict(values)
-        logprob = 0.0
-        slot_probabilities = {}
-        for slot, index in choices.items():
-            probability = float(distributions[slot][index])
-            slot_probabilities[slot] = probability
-            logprob += float(np.log(probability + 1e-12))
-        return DecodingResult(
-            decisions=decisions,
-            logprob=logprob,
-            slot_probabilities=slot_probabilities,
-            strategy=strategy,
-        )

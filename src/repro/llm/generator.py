@@ -23,14 +23,8 @@ from ..config import ModelConfig
 from ..rng import SeededRNG
 from ..types import CodeContext, GeneratedFault, Patch, stable_fault_id
 from ..nlp.prompt_builder import GenerationPrompt
-from .compiled_grammar import (
-    DecisionAutomaton,
-    DecodePlan,
-    GrammarCompiler,
-    feedback_forced_slots,
-    spec_constraint,
-)
-from .decisions import DECISION_SLOTS, DecisionVector
+from .compiled_grammar import DecisionAutomaton, DecodePlan, GrammarCompiler
+from .decisions import DecisionVector
 from .decoder import Decoder, DecodingResult
 from .features import FeatureEncoder
 from .grammar import CodeGrammar, RenderedFault
@@ -85,27 +79,17 @@ class FaultGenerator:
     ) -> GenerationCandidate:
         """Generate a single faulty code snippet for ``prompt``.
 
-        With ``config.compiled_decode`` the decoder works on the raw policy
-        distributions through the prompt's cached
-        :class:`~repro.llm.compiled_grammar.DecisionAutomaton`; the fault and
-        RNG stream are identical to the interpreted constrained path.
+        The decoder reads the raw policy distributions through the prompt's
+        cached :class:`~repro.llm.compiled_grammar.DecisionAutomaton`.
         """
-        features = self.encoder.encode(prompt)
-        if self.config.compiled_decode:
-            distributions = self.policy.forward(features).probabilities
-            automaton = self.compiler.compile(prompt)
-            if greedy:
-                decoding = self.decoder.greedy(distributions, automaton=automaton)
-            else:
-                decoding = self.decoder.sample(
-                    distributions, temperature=temperature, automaton=automaton
-                )
-            return self._materialise(prompt, decoding, iteration)
-        distributions = self._constrained_distributions(prompt, features)
+        distributions = self.policy.forward(self.encoder.encode(prompt)).probabilities
+        automaton = self.compiler.compile(prompt)
         if greedy:
-            decoding = self.decoder.greedy(distributions)
+            decoding = self.decoder.greedy(distributions, automaton)
         else:
-            decoding = self.decoder.sample(distributions, temperature=temperature)
+            decoding = self.decoder.sample(
+                distributions, temperature=temperature, automaton=automaton
+            )
         return self._materialise(prompt, decoding, iteration)
 
     def candidates(
@@ -116,20 +100,15 @@ class FaultGenerator:
         temperature: float | None = None,
     ) -> list[GenerationCandidate]:
         """Generate ``count`` diverse candidates for tester review / ranking."""
-        features = self.encoder.encode(prompt)
-        if self.config.compiled_decode:
-            distributions = self.policy.forward(features).probabilities
-            effective = temperature or max(self.config.temperature, 1.2)
-            decodings = self.decoder.diverse_candidates(
-                distributions, count, temperature=temperature,
-                automaton=self.compiler.compile(prompt),
-                plan=self.compiler.plan_for(
-                    prompt, distributions, effective, self.config.top_k, self.config.top_p
-                ),
-            )
-        else:
-            constrained = self._constrained_distributions(prompt, features)
-            decodings = self.decoder.diverse_candidates(constrained, count, temperature=temperature)
+        distributions = self.policy.forward(self.encoder.encode(prompt)).probabilities
+        effective = temperature or max(self.config.temperature, 1.2)
+        decodings = self.decoder.diverse_candidates(
+            distributions, count, temperature=temperature,
+            automaton=self.compiler.compile(prompt),
+            plan=self.compiler.plan_for(
+                prompt, distributions, effective, self.config.top_k, self.config.top_p
+            ),
+        )
         return [self._materialise(prompt, decoding, iteration, salt=str(i)) for i, decoding in enumerate(decodings)]
 
     # -- batched generation -------------------------------------------------------
@@ -152,21 +131,14 @@ class FaultGenerator:
         """
         if not prompts:
             return []
-        if self.config.compiled_decode:
-            distributions = self._raw_distributions_batch(prompts)
-            automatons = [self.compiler.compile(prompt) for prompt in prompts]
-            if greedy:
-                decodings = self.decoder.greedy_batch(distributions, automatons=automatons)
-            else:
-                decodings = self.decoder.sample_batch(
-                    distributions, temperature=temperature, automatons=automatons
-                )
+        distributions = self._raw_distributions_batch(prompts)
+        automatons = [self.compiler.compile(prompt) for prompt in prompts]
+        if greedy:
+            decodings = self.decoder.greedy_batch(distributions, automatons)
         else:
-            distributions = self._constrained_distributions_batch(prompts)
-            if greedy:
-                decodings = self.decoder.greedy_batch(distributions)
-            else:
-                decodings = self.decoder.sample_batch(distributions, temperature=temperature)
+            decodings = self.decoder.sample_batch(
+                distributions, temperature=temperature, automatons=automatons
+            )
         return [
             self._materialise(prompt, decoding, iteration)
             for prompt, decoding in zip(prompts, decodings)
@@ -186,29 +158,17 @@ class FaultGenerator:
         per-prompt :meth:`candidates` loop does — so for a given seed both
         paths emit identical candidate sets.
 
-        With ``config.compiled_decode`` the decode is additionally
-        *dedup-aware*: rows that repeat a prompt (same cache key and
-        bit-identical distribution rows) share one compiled automaton, one
-        sampling :class:`~repro.llm.compiled_grammar.DecodePlan`, and one
-        RNG-free greedy head instead of recompiling and re-truncating per
-        row.  Sampled attempts still run per row in input order, so the RNG
-        stream — and therefore every candidate — stays identical to the
-        per-prompt loop.
+        The decode is *dedup-aware*: rows that repeat a prompt (same cache
+        key and bit-identical distribution rows) share one compiled
+        automaton, one sampling
+        :class:`~repro.llm.compiled_grammar.DecodePlan`, and one RNG-free
+        greedy head instead of recompiling and re-truncating per row.
+        Sampled attempts still run per row in input order, so the RNG stream
+        — and therefore every candidate — stays identical to the per-prompt
+        loop.
         """
         if not prompts:
             return []
-        if not self.config.compiled_decode:
-            distributions = self._constrained_distributions_batch(prompts)
-            decoding_sets = self.decoder.diverse_candidates_batch(
-                distributions, count, temperature=temperature
-            )
-            return [
-                [
-                    self._materialise(prompt, decoding, iteration, salt=str(i))
-                    for i, decoding in enumerate(decodings)
-                ]
-                for prompt, decodings in zip(prompts, decoding_sets)
-            ]
         distributions = self._raw_distributions_batch(prompts)
         effective = temperature or max(self.config.temperature, 1.2)
         shared: dict[str, tuple[dict, DecisionAutomaton, DecodePlan, DecodingResult]] = {}
@@ -227,7 +187,7 @@ class FaultGenerator:
                 plan = self.compiler.plan_for(
                     prompt, row_distributions, effective, self.config.top_k, self.config.top_p
                 )
-                first = self.decoder.greedy(row_distributions, automaton=automaton)
+                first = self.decoder.greedy(row_distributions, automaton)
                 shared[key] = (row_distributions, automaton, plan, first)
             decodings = self.decoder.diverse_candidates(
                 row_distributions,
@@ -247,27 +207,21 @@ class FaultGenerator:
 
     # -- serving hooks ------------------------------------------------------------
 
-    def prompt_distributions(self, prompts: list[GenerationPrompt], constrained: bool = True) -> dict:
-        """Per-slot ``(B, |slot|)`` distributions for a prompt batch.
+    def prompt_distributions(self, prompts: list[GenerationPrompt]) -> dict:
+        """Raw per-slot ``(B, |slot|)`` distributions for a prompt batch.
 
         The continuous-batching scheduler uses this to run one batched forward
         pass for every queued request, then decodes each row independently with
-        :meth:`decode_prompt` (per-request decode parameters and seeds).
+        :meth:`decode_prompt` (per-request decode parameters and seeds), which
+        applies the prompt's constraints through its automaton.
 
         Args:
             prompts: The prompt batch.
-            constrained: When true (default), constraints are applied by
-                copying the matrices and one-hotting pinned rows — the
-                interpreted path.  Compiled serving passes ``False`` to get
-                the raw policy outputs and applies constraints through each
-                prompt's automaton at decode time instead (do not mutate the
-                returned matrices in that case).
 
         Returns:
-            Slot name → ``(B, |slot|)`` probability matrix.
+            Slot name → ``(B, |slot|)`` probability matrix (read-only: the
+            matrices belong to the forward result).
         """
-        if constrained:
-            return self._constrained_distributions_batch(prompts)
         return self._raw_distributions_batch(prompts)
 
     def decode_prompt(
@@ -280,16 +234,15 @@ class FaultGenerator:
         top_k: int | None = None,
         top_p: float | None = None,
         iteration: int = 0,
-        automaton: DecisionAutomaton | None = None,
+        *,
+        automaton: DecisionAutomaton,
     ) -> GenerationCandidate:
         """Decode one prompt from precomputed per-slot distribution vectors.
 
         Args:
             prompt: The prompt the distributions were computed for.
-            distributions: Per-slot probability *vectors* (one row sliced out
-                of :meth:`prompt_distributions`) — constrained vectors for
-                the interpreted path, raw vectors when ``automaton`` drives a
-                compiled decode.
+            distributions: Raw per-slot probability *vectors* (one row sliced
+                out of :meth:`prompt_distributions`).
             greedy: Argmax decoding when true, sampling otherwise.
             decoder: Decoder to draw from; defaults to the generator's shared
                 decoder.  Serving passes a per-request decoder seeded from the
@@ -298,26 +251,23 @@ class FaultGenerator:
             top_k: Top-k truncation override.
             top_p: Nucleus truncation override.
             iteration: Refinement iteration recorded on the fault.
-            automaton: Compiled decision automaton for ``prompt``; when given
-                the decoder jump-forwards through force-determined slots
-                instead of re-applying constraints per request.
+            automaton: Compiled decision automaton for ``prompt``; the
+                decoder jump-forwards through its force-determined slots.
 
         Returns:
             The rendered :class:`GenerationCandidate`.
         """
         active = decoder or self.decoder
         if greedy:
-            decoding = active.greedy(distributions, automaton=automaton)
+            decoding = active.greedy(distributions, automaton)
         else:
-            plan = None
-            if automaton is not None:
-                plan = self.compiler.plan_for(
-                    prompt,
-                    distributions,
-                    temperature if temperature is not None else self.config.temperature,
-                    top_k if top_k is not None else self.config.top_k,
-                    top_p if top_p is not None else self.config.top_p,
-                )
+            plan = self.compiler.plan_for(
+                prompt,
+                distributions,
+                temperature if temperature is not None else self.config.temperature,
+                top_k if top_k is not None else self.config.top_k,
+                top_p if top_p is not None else self.config.top_p,
+            )
             decoding = active.sample(
                 distributions,
                 temperature=temperature,
@@ -333,59 +283,14 @@ class FaultGenerator:
         features = self.encoder.encode_batch(prompts)
         return self.policy.log_probabilities_batch(features, decisions)
 
-    def forced_slots(self, prompt: GenerationPrompt) -> dict[str, str]:
-        """Decision slots pinned by explicit tester feedback.
-
-        The initial generation is left entirely to the learned policy, but once
-        a tester states a requirement in a refinement round ("introduce a retry
-        mechanism", "make it intermittent"), decoding is constrained so the
-        requirement is honoured deterministically — the decision-level analogue
-        of instruction-constrained decoding.
-        """
-        return feedback_forced_slots(prompt)
-
-    def _spec_constraint(self, prompt: GenerationPrompt) -> dict[str, str]:
-        """Pin the fault template to the spec's fault type when extraction is confident.
-
-        Delegates to :func:`repro.llm.compiled_grammar.spec_constraint` — the
-        single source of truth shared with the grammar compiler, so the
-        interpreted and compiled paths can never disagree about constraints.
-        """
-        return spec_constraint(prompt, self.config)
-
-    def _constrained_distributions(self, prompt: GenerationPrompt, features) -> dict:
-        distributions = self.policy.distributions(features)
-        constraints = self._spec_constraint(prompt)
-        constraints.update(self.forced_slots(prompt))
-        for slot, value in constraints.items():
-            index = DECISION_SLOTS[slot].index(value)
-            distributions[slot][:] = 0.0
-            distributions[slot][index] = 1.0
-        return distributions
-
     def _raw_distributions_batch(self, prompts: list[GenerationPrompt]) -> dict:
         """Batched raw per-slot ``(B, |slot|)`` distributions (no constraint copies).
 
-        The compiled decode path reads these through each prompt's automaton
-        instead of materialising constrained copies; callers must treat the
-        matrices as read-only (they belong to the forward result).
+        The decoder reads these through each prompt's automaton; callers must
+        treat the matrices as read-only (they belong to the forward result).
         """
         features = self.encoder.encode_batch(prompts)
         return self.policy.forward_batch(features).probabilities
-
-    def _constrained_distributions_batch(self, prompts: list[GenerationPrompt]) -> dict:
-        """Batched per-slot ``(B, |slot|)`` distributions with per-prompt constraints."""
-        features = self.encoder.encode_batch(prompts)
-        forward = self.policy.forward_batch(features)
-        distributions = {slot: probs.copy() for slot, probs in forward.probabilities.items()}
-        for row, prompt in enumerate(prompts):
-            constraints = self._spec_constraint(prompt)
-            constraints.update(self.forced_slots(prompt))
-            for slot, value in constraints.items():
-                index = DECISION_SLOTS[slot].index(value)
-                distributions[slot][row, :] = 0.0
-                distributions[slot][row, index] = 1.0
-        return distributions
 
     def render_decisions(
         self, prompt: GenerationPrompt, decisions: DecisionVector, iteration: int = 0

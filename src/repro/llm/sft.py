@@ -17,6 +17,7 @@ import numpy as np
 from ..config import SFTConfig
 from ..rng import SeededRNG
 from ..nlp.prompt_builder import GenerationPrompt
+from .compiled_grammar import DecisionAutomaton
 from .decisions import DecisionVector
 from .generator import FaultGenerator
 
@@ -111,7 +112,8 @@ class SFTTrainer:
         targets = [example.target for example in examples]
         forward = policy.forward_batch(features_matrix)
         total_nll = float(np.sum(-forward.log_probabilities(targets)))
-        decoded_batch = decoder.greedy_batch(forward.probabilities)
+        unconstrained = [DecisionAutomaton.from_constraints({})] * len(examples)
+        decoded_batch = decoder.greedy_batch(forward.probabilities, unconstrained)
         exact = 0
         slot_hits = 0
         slot_total = 0

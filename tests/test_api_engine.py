@@ -21,8 +21,11 @@ from repro.config import EngineConfig, ExecutionConfig, IntegrationConfig, RLHFC
 from repro.errors import EngineClosedError, RequestError
 from repro.execution import WorkerPool
 from repro.nlp import FaultSpecExtractor
+from repro.rng import SeededRNG
 from repro.targets import get_target
 from repro.types import FailureMode, FaultDescription
+
+from oracles.interpreted_decode import InterpretedDecoder
 
 DESCRIPTIONS = [
     "Simulate a timeout in the transfer function causing an unhandled exception",
@@ -44,9 +47,22 @@ KVSTORE_DESCRIPTIONS = [
 DEADLOCK = "Cause a deadlock in the withdraw function by acquiring the lock twice"
 
 
-def _expected_payload_dict(config: PipelineConfig, description: str, target: str, greedy: bool):
-    """The payload a fresh, solo run through the old API produces."""
-    with NeuralFaultInjector(PipelineConfig.from_dict(config.to_dict())) as legacy:
+def _expected_payload_dict(
+    config: PipelineConfig, description: str, target: str, greedy: bool, seed: int | None = None
+):
+    """The payload a fresh, solo run through the old API produces.
+
+    Its generator decodes through the interpreted oracle, seeded like the
+    engine's per-request decoder: ``SeededRNG(seed, "pipeline")`` →
+    ``fork("generator")`` → ``fork("decoder")``, where no seed means the
+    pipeline seed.
+    """
+    fresh = PipelineConfig.from_dict(config.to_dict())
+    chain = SeededRNG(fresh.seed if seed is None else seed, namespace="pipeline")
+    with NeuralFaultInjector(fresh) as legacy:
+        legacy.generator.decoder = InterpretedDecoder(
+            fresh.model, rng=chain.fork("generator").fork("decoder")
+        )
         code = get_target(target).build_source()
         spec, context = legacy.define_fault(description, code=code)
         prompt = legacy.build_prompt(spec, context)
@@ -217,7 +233,7 @@ class TestCloseFromCallbacks:
 
 
 class TestSoloParityDeterminism:
-    """Concurrent mixes are byte-identical to solo runs through the old API."""
+    """Concurrent mixes are byte-identical to solo interpreted runs through the old API."""
 
     def test_concurrent_mix_matches_fresh_old_api_payloads(self):
         config = PipelineConfig()
@@ -232,6 +248,15 @@ class TestSoloParityDeterminism:
                 request_id=f"mix-{index}",
             )
             for index, (text, target) in enumerate(mix)
+        ] + [
+            GenerateRequest(
+                description=text,
+                target=target,
+                greedy=False,
+                seed=1000 + index,
+                request_id=f"seeded-{index}",
+            )
+            for index, (text, target) in enumerate(mix[::2])
         ]
         with FaultInjectionEngine(config) as engine:
             responses = [None] * len(requests)
@@ -252,7 +277,9 @@ class TestSoloParityDeterminism:
             assert envelope.request_id == request.request_id
             produced = json.dumps(envelope.payload.deterministic_dict(), sort_keys=True)
             expected = json.dumps(
-                _expected_payload_dict(config, request.description, request.target, request.greedy),
+                _expected_payload_dict(
+                    config, request.description, request.target, request.greedy, request.seed
+                ),
                 sort_keys=True,
             )
             assert produced == expected, f"payload drifted for {request.request_id}"

@@ -15,6 +15,7 @@ import pytest
 from repro.config import ModelConfig, RLHFConfig, SFTConfig
 from repro.llm import (
     DECISION_SLOTS,
+    DecisionAutomaton,
     Decoder,
     DecisionVector,
     FaultGenerator,
@@ -142,6 +143,10 @@ class TestNetworkBatchEquivalence:
             policy.forward_batch(np.zeros((4, 3)))
 
 
+#: Decoder equivalence tests decode unconstrained prompts.
+FREE = DecisionAutomaton.from_constraints({})
+
+
 class TestDecoderBatchEquivalence:
     def make_batch_distributions(self, policy, features_matrix):
         return policy.forward_batch(features_matrix).probabilities
@@ -149,17 +154,18 @@ class TestDecoderBatchEquivalence:
     def test_greedy_batch_matches_per_sample(self, policy, features_matrix):
         distributions = self.make_batch_distributions(policy, features_matrix)
         decoder = Decoder()
-        batched = decoder.greedy_batch(distributions)
+        batched = decoder.greedy_batch(distributions, [FREE] * len(features_matrix))
         for row, result in enumerate(batched):
-            single = decoder.greedy({slot: probs[row] for slot, probs in distributions.items()})
+            single = decoder.greedy({slot: probs[row] for slot, probs in distributions.items()}, FREE)
             assert result.decisions == single.decisions
             assert result.logprob == pytest.approx(single.logprob, abs=ATOL)
             assert result.slot_probabilities == pytest.approx(single.slot_probabilities, abs=ATOL)
 
     def test_sample_batch_is_deterministic_per_seed(self, policy, features_matrix):
         distributions = self.make_batch_distributions(policy, features_matrix)
-        first = Decoder(rng=SeededRNG(3)).sample_batch(distributions, temperature=0.9)
-        second = Decoder(rng=SeededRNG(3)).sample_batch(distributions, temperature=0.9)
+        automatons = [FREE] * len(features_matrix)
+        first = Decoder(rng=SeededRNG(3)).sample_batch(distributions, temperature=0.9, automatons=automatons)
+        second = Decoder(rng=SeededRNG(3)).sample_batch(distributions, temperature=0.9, automatons=automatons)
         assert [r.decisions for r in first] == [r.decisions for r in second]
 
     def test_sample_batch_respects_one_hot_rows(self, policy, features_matrix):
@@ -168,7 +174,7 @@ class TestDecoderBatchEquivalence:
             slot: np.tile(np.eye(len(values))[1], (batch, 1))
             for slot, values in DECISION_SLOTS.items()
         }
-        results = Decoder(rng=SeededRNG(5)).sample_batch(distributions)
+        results = Decoder(rng=SeededRNG(5)).sample_batch(distributions, automatons=[FREE] * batch)
         for result in results:
             for slot, values in DECISION_SLOTS.items():
                 assert result.decisions.to_dict()[slot] == values[1]
@@ -177,7 +183,7 @@ class TestDecoderBatchEquivalence:
         distributions = self.make_batch_distributions(policy, features_matrix)
         decoder = Decoder(rng=SeededRNG(11))
         for _ in range(10):
-            results = decoder.sample_batch(distributions, top_k=2)
+            results = decoder.sample_batch(distributions, top_k=2, automatons=[FREE] * len(features_matrix))
             for row, result in enumerate(results):
                 for slot, probs in distributions.items():
                     chosen = DECISION_SLOTS[slot].index(result.decisions.to_dict()[slot])
@@ -186,7 +192,8 @@ class TestDecoderBatchEquivalence:
 
     def test_sample_batch_logprob_uses_untruncated_distribution(self, policy, features_matrix):
         distributions = self.make_batch_distributions(policy, features_matrix)
-        results = Decoder(rng=SeededRNG(13)).sample_batch(distributions, top_k=1)
+        automatons = [FREE] * len(features_matrix)
+        results = Decoder(rng=SeededRNG(13)).sample_batch(distributions, top_k=1, automatons=automatons)
         for row, result in enumerate(results):
             manual = sum(
                 float(np.log(distributions[slot][row][DECISION_SLOTS[slot].index(value)] + 1e-12))
@@ -238,7 +245,7 @@ class TestDiverseCandidatePadding:
         distributions = {
             slot: np.eye(len(values))[0] for slot, values in DECISION_SLOTS.items()
         }
-        results = Decoder(rng=SeededRNG(17)).diverse_candidates(distributions, count=4)
+        results = Decoder(rng=SeededRNG(17)).diverse_candidates(distributions, count=4, automaton=FREE)
         assert len(results) == 4
         assert results[0].strategy == "greedy"
         # Only one assignment exists; the padding must be flagged, not silent.
@@ -249,7 +256,7 @@ class TestDiverseCandidatePadding:
         distributions = {
             slot: probs[0] for slot, probs in policy.forward_batch(features_matrix).probabilities.items()
         }
-        results = Decoder(rng=SeededRNG(19)).diverse_candidates(distributions, count=4)
+        results = Decoder(rng=SeededRNG(19)).diverse_candidates(distributions, count=4, automaton=FREE)
         assert not any(result.strategy.endswith("-duplicate") for result in results[:2])
 
 
@@ -399,7 +406,7 @@ class TestSFTBatchedEquivalence:
         for example in examples:
             features = encoder.encode(example.prompt)
             total_nll += policy.nll(features, example.target)
-            decoded = decoder.greedy(policy.distributions(features)).decisions
+            decoded = decoder.greedy(policy.distributions(features), FREE).decisions
             target_map = example.target.to_dict()
             decoded_map = decoded.to_dict()
             if decoded_map == target_map:

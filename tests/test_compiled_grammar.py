@@ -1,10 +1,9 @@
 """Differential tests: compiled grammar decode vs the interpreted oracle.
 
 The compiled path (automaton masks + jump-forward + CDF replay) must be
-observationally indistinguishable from the interpreted constrained-decoding
-path: byte-identical rendered faults and an identical decoder RNG stream for
-every target and every decoding strategy.  The interpreted path is never
-modified by the compiled-decode feature, so it serves as the oracle here.
+observationally indistinguishable from the interpreted constrained decode in
+``tests/oracles/interpreted_decode.py``: byte-identical rendered faults and an
+identical decoder RNG stream for every target and every decoding strategy.
 """
 
 from __future__ import annotations
@@ -23,6 +22,8 @@ from repro.nlp import CodeAnalyzer, FaultSpecExtractor, PromptBuilder
 from repro.rng import SeededRNG
 from repro.targets import all_targets
 from repro.types import FaultDescription
+
+from oracles.interpreted_decode import constrain, constrained_distributions_batch, interpreted_generator
 
 DESCRIPTIONS = [
     "Inject a timeout in the database transaction handling with retry",
@@ -53,9 +54,12 @@ def prompts():
     return build_prompts()
 
 
-def make_generator(compiled: bool, seed: int = 11) -> FaultGenerator:
-    config = ModelConfig(compiled_decode=compiled)
-    return FaultGenerator(config, rng=SeededRNG(seed, namespace="generator"))
+def make_generator(seed: int = 11) -> FaultGenerator:
+    return FaultGenerator(ModelConfig(), rng=SeededRNG(seed, namespace="generator"))
+
+
+def make_oracle(seed: int = 11) -> FaultGenerator:
+    return interpreted_generator(ModelConfig(), SeededRNG(seed, namespace="generator"))
 
 
 def rng_state(generator: FaultGenerator):
@@ -74,7 +78,7 @@ class TestDifferentialEquivalence:
     """Compiled output is byte-identical to interpreted on every target."""
 
     def test_greedy_matches_and_consumes_no_rng(self, prompts):
-        interpreted, compiled = make_generator(False), make_generator(True)
+        interpreted, compiled = make_oracle(), make_generator()
         before = rng_state(compiled)
         for prompt in prompts:
             assert_same_candidate(
@@ -85,7 +89,7 @@ class TestDifferentialEquivalence:
         assert rng_state(interpreted) == before
 
     def test_sampled_stream_is_bit_identical(self, prompts):
-        interpreted, compiled = make_generator(False), make_generator(True)
+        interpreted, compiled = make_oracle(), make_generator()
         for prompt in prompts:
             assert_same_candidate(
                 interpreted.generate(prompt, greedy=False),
@@ -96,14 +100,14 @@ class TestDifferentialEquivalence:
             assert rng_state(interpreted) == rng_state(compiled)
 
     def test_diverse_candidates_match(self, prompts):
-        interpreted, compiled = make_generator(False), make_generator(True)
+        interpreted, compiled = make_oracle(), make_generator()
         for prompt in prompts:
             for a, b in zip(interpreted.candidates(prompt, 4), compiled.candidates(prompt, 4)):
                 assert_same_candidate(a, b)
             assert rng_state(interpreted) == rng_state(compiled)
 
     def test_batched_paths_match(self, prompts):
-        interpreted, compiled = make_generator(False), make_generator(True)
+        interpreted, compiled = make_oracle(), make_generator()
         for greedy in (True, False):
             batch_a = interpreted.generate_batch(prompts, greedy=greedy)
             batch_b = compiled.generate_batch(prompts, greedy=greedy)
@@ -118,7 +122,7 @@ class TestDifferentialEquivalence:
 
     def test_candidates_batch_matches_with_duplicates(self, prompts):
         duplicated = [prompts[0], prompts[1]] * 3 + [prompts[2]]
-        interpreted, compiled = make_generator(False), make_generator(True)
+        interpreted, compiled = make_oracle(), make_generator()
         batch_a = interpreted.candidates_batch(duplicated, 4)
         batch_b = compiled.candidates_batch(duplicated, 4)
         for row_a, row_b in zip(batch_a, batch_b):
@@ -130,7 +134,7 @@ class TestDifferentialEquivalence:
         base = prompts[0]
         directives = {"handling": "retry", "severity": "high"}
         prompt = prompt_builder.build(base.spec, base.context, feedback_directives=directives)
-        interpreted, compiled = make_generator(False), make_generator(True)
+        interpreted, compiled = make_oracle(), make_generator()
         a = interpreted.generate(prompt, greedy=True)
         b = compiled.generate(prompt, greedy=True)
         assert_same_candidate(a, b)
@@ -153,7 +157,7 @@ class TestAutomaton:
         assert free == [automaton.forced["handling"]]
 
     def test_jump_forward_taken_counts_forced_slots(self, prompts):
-        compiled = make_generator(True)
+        compiled = make_generator()
         prompt = prompts[0]
         automaton = compiled.compiler.compile(prompt)
         forced = len(automaton.forced)
@@ -164,16 +168,16 @@ class TestAutomaton:
         compiled.generate(prompt, greedy=False)
         assert automaton.jump_forward_taken == before + 2 * forced
 
-    def test_constrain_matches_interpreted_distributions(self, prompts):
-        interpreted, compiled = make_generator(False), make_generator(True)
-        prompt = prompts[0]
-        features = interpreted.encoder.encode(prompt)
-        oracle = interpreted._constrained_distributions(prompt, features)
-        automaton = compiled.compiler.compile(prompt)
-        raw = compiled.policy.forward(compiled.encoder.encode(prompt)).probabilities
-        adapted = automaton.constrain(raw)
-        for slot, matrix in oracle.items():
-            assert (adapted[slot] == matrix).all()
+    def test_automaton_pins_what_constraint_slots_pin(self, prompts):
+        # The oracle decoder one-hots from ``automaton.forced``; the benchmark
+        # baseline one-hots from ``constraint_slots``.  Both must agree.
+        compiled = make_generator()
+        for prompt in prompts:
+            batch = constrained_distributions_batch(compiled, [prompt])
+            raw = {slot: matrix[0] for slot, matrix in compiled.prompt_distributions([prompt]).items()}
+            adapted = constrain(raw, compiled.compiler.compile(prompt))
+            for slot, matrix in batch.items():
+                assert (adapted[slot] == matrix[0]).all()
 
 
 class TestCompilerCache:
@@ -234,7 +238,7 @@ class TestCompilerCache:
 
 class TestDecodePlan:
     def test_forced_slots_replay_the_tempered_tail(self, prompts):
-        compiled = make_generator(True)
+        compiled = make_generator()
         prompt = prompts[0]
         automaton = compiled.compiler.compile(prompt)
         raw = compiled.policy.forward(compiled.encoder.encode(prompt)).probabilities

@@ -8,6 +8,7 @@ elastic membership) is exercised without paying process-spawn time.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -118,6 +119,8 @@ class TestDistributedFleetExecution:
 
     def test_stats_expose_distribution_counters(self, dist_runner, bank_source):
         dist_runner.run_batch("bank", [bank_source] * 2, seed=5, iterations=5, mode="distributed")
+        # The batch can finish before the whole fleet has registered.
+        assert dist_runner._distributed.wait_for_workers(3, timeout=30.0)
         stats = dist_runner.distributed_stats()
         assert stats["workers"] == 3
         assert stats["tasks_executed"] >= 2
@@ -131,6 +134,34 @@ class TestDistributedFleetExecution:
             "bank", [hang], seed=5, iterations=5, mode="distributed", timeout_seconds=1.0
         )
         assert observations[0].timed_out
+
+
+def _processes_mentioning(text: str) -> list[str]:
+    """Command lines of live processes with ``text`` as one of their arguments."""
+    found = []
+    for pid in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{pid}/cmdline", "rb") as handle:
+                argv = handle.read().split(b"\0")
+        except OSError:  # not a process, or it exited meanwhile
+            continue
+        if text.encode() in argv:
+            found.append(b" ".join(argv).decode(errors="replace"))
+    return found
+
+
+class TestFleetShutdown:
+    def test_shutdown_reaps_workers_and_their_sandbox_children(self, bank_source):
+        distributed = DistributedConfig(workers=2, worker_capacity=2)
+        with DistributedPool(max_workers=2, distributed=distributed) as pool:
+            payloads = pool.run_batch("bank", [bank_source] * 4, seed=5, iterations=5)
+            address = pool.connect_address
+            assert _processes_mentioning(address)
+        assert [payload["status"] for payload in payloads] == ["ok"] * 4
+        deadline = time.monotonic() + 5.0
+        while _processes_mentioning(address) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert _processes_mentioning(address) == []
 
 
 class _ScriptedWorker:
@@ -217,7 +248,10 @@ class TestCoordinatorSupervision:
 
     def test_worker_death_requeues_onto_survivors(self):
         with _scripted_pool() as pool:
+            # Registered first, the dying worker sorts first and takes the
+            # first lease, so its death always has work to requeue.
             _ScriptedWorker(pool, script=("die",)).start()
+            assert pool.wait_for_workers(1, timeout=5.0)
             survivor = _ScriptedWorker(pool).start()
             payloads = pool.run_batch("bank", ["a", "b"], seed=9, iterations=1)
             stats = pool.stats()

@@ -7,8 +7,8 @@ Invariants checked with hypothesis:
 * patches always revert cleanly (the original text is retained verbatim);
 * the fault-load DSL round-trips through JSON for arbitrary entries;
 * every decision the compiled-grammar decode emits is accepted by the
-  interpreted grammar's validator, and masked decision heads never leak a
-  zero-probability (masked-out) value.
+  interpreted grammar's validator, masked decision heads never leak a
+  masked-out value, and every decode matches the interpreted oracle.
 """
 
 from __future__ import annotations
@@ -16,18 +16,18 @@ from __future__ import annotations
 import ast
 import functools
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.config import ModelConfig
 from repro.injection import FaultLoad, all_operators, get_operator, operator_names
-from repro.llm import CodeGrammar, DecisionAutomaton, FaultGenerator, constraint_slots
-from repro.llm.compiled_grammar import DecodePlan
+from repro.llm import CodeGrammar, FaultGenerator, constraint_slots
 from repro.llm.decisions import DECISION_SLOTS
 from repro.nlp import CodeAnalyzer, FaultSpecExtractor, PromptBuilder
 from repro.rng import SeededRNG
 from repro.targets import all_targets
 from repro.types import FaultDescription
+
+from oracles.interpreted_decode import interpreted_generator
 
 #: A family of small but structurally varied modules for property tests.
 _MODULE_TEMPLATES = [
@@ -184,6 +184,12 @@ def _prompt_pool():
     return prompts
 
 
+def _decode(generator, prompt, strategy):
+    if strategy == "diverse":
+        return generator.candidates(prompt, 3)
+    return [generator.generate(prompt, greedy=strategy == "greedy")]
+
+
 class TestCompiledDecodeProperties:
     """Compiled-grammar decode invariants over randomized prompts and seeds."""
 
@@ -199,14 +205,10 @@ class TestCompiledDecodeProperties:
         pool = _prompt_pool()
         prompt = pool[prompt_index % len(pool)]
         generator = FaultGenerator(
-            ModelConfig(compiled_decode=True), rng=SeededRNG(seed, namespace="generator")
+            ModelConfig(), rng=SeededRNG(seed, namespace="generator")
         )
-        if strategy == "diverse":
-            candidates = generator.candidates(prompt, 3)
-        else:
-            candidates = [generator.generate(prompt, greedy=strategy == "greedy")]
         grammar = CodeGrammar()
-        for candidate in candidates:
+        for candidate in _decode(generator, prompt, strategy):
             assert grammar.accepts(prompt, candidate.decisions)
 
     @given(
@@ -218,7 +220,7 @@ class TestCompiledDecodeProperties:
     def test_masked_heads_never_leak_invalid_decisions(self, prompt_index, seed, greedy):
         pool = _prompt_pool()
         prompt = pool[prompt_index % len(pool)]
-        config = ModelConfig(compiled_decode=True)
+        config = ModelConfig()
         generator = FaultGenerator(config, rng=SeededRNG(seed, namespace="generator"))
         automaton = generator.compiler.compile(prompt)
         candidate = generator.generate(prompt, greedy=greedy)
@@ -229,28 +231,23 @@ class TestCompiledDecodeProperties:
             assert decisions[slot] == value
 
     @given(
+        prompt_index=st.integers(min_value=0, max_value=10_000),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
-        valid_count=st.integers(min_value=2, max_value=4),
-        temperature=st.floats(min_value=0.2, max_value=2.0),
+        strategy=st.sampled_from(["greedy", "sample", "diverse"]),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_partial_masks_give_masked_entries_zero_probability(
-        self, seed, valid_count, temperature
-    ):
-        # Partially-masked slots are compiled-only semantics (today's grammar
-        # pins exactly one value), but the plan must still guarantee that a
-        # masked-out decision has exactly zero selection probability.
-        rng = np.random.default_rng(seed)
-        size = len(DECISION_SLOTS["handling"])
-        mask = np.zeros(size, dtype=bool)
-        mask[rng.choice(size, size=valid_count, replace=False)] = True
-        probs = rng.random(size)
-        probs /= probs.sum()
-        automaton = DecisionAutomaton(
-            masks={"handling": mask}, partial_masks={"handling": mask}
+    @settings(max_examples=40, deadline=None)
+    def test_decode_matches_the_interpreted_oracle(self, prompt_index, seed, strategy):
+        pool = _prompt_pool()
+        prompt = pool[prompt_index % len(pool)]
+        generator = FaultGenerator(ModelConfig(), rng=SeededRNG(seed, namespace="generator"))
+        oracle = interpreted_generator(ModelConfig(), SeededRNG(seed, namespace="generator"))
+        produced, expected = _decode(generator, prompt, strategy), _decode(oracle, prompt, strategy)
+        assert len(produced) == len(expected)
+        for left, right in zip(produced, expected):
+            assert left.fault.code == right.fault.code
+            assert left.fault.fault_id == right.fault.fault_id
+            assert left.logprob == right.logprob
+        assert (
+            generator.decoder._rng.generator.bit_generator.state
+            == oracle.decoder._rng.generator.bit_generator.state
         )
-        plan = DecodePlan.for_sampling(
-            {"handling": probs}, automaton, temperature, top_k=None, top_p=None
-        )
-        for uniform in rng.random(200):
-            assert mask[plan.replay("handling", float(uniform))]

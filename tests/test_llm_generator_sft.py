@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import json
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.llm import (
     reference_decisions,
     save_checkpoint,
 )
+from repro.llm.compiled_grammar import feedback_forced_slots, spec_constraint
 
 
 class TestFaultGenerator:
@@ -39,8 +41,7 @@ class TestFaultGenerator:
         assert candidate.decisions.template == sample_prompt.spec.fault_type.value
 
     def test_spec_constraint_can_be_disabled(self, sample_prompt):
-        generator = FaultGenerator(ModelConfig(constrain_to_spec=False))
-        assert generator._spec_constraint(sample_prompt) == {}
+        assert spec_constraint(sample_prompt, ModelConfig(constrain_to_spec=False)) == {}
 
     def test_candidates_are_diverse(self, fault_generator, sample_prompt):
         candidates = fault_generator.candidates(sample_prompt, count=4)
@@ -50,7 +51,7 @@ class TestFaultGenerator:
 
     def test_forced_slots_from_feedback(self, fault_generator, sample_prompt, prompt_builder):
         refined = prompt_builder.refine(sample_prompt, {"wants_retry": True})
-        assert fault_generator.forced_slots(refined) == {"handling": "retry"}
+        assert feedback_forced_slots(refined) == {"handling": "retry"}
         candidate = fault_generator.generate(refined)
         assert candidate.decisions.handling == "retry"
 
@@ -58,7 +59,7 @@ class TestFaultGenerator:
         refined = prompt_builder.refine(
             sample_prompt, {"handling": "fallback", "trigger": "probabilistic", "severity": "high"}
         )
-        forced = fault_generator.forced_slots(refined)
+        forced = feedback_forced_slots(refined)
         assert forced == {"handling": "fallback", "trigger": "probabilistic", "severity": "high"}
 
     def test_render_decisions_honours_explicit_vector(self, fault_generator, sample_prompt):
@@ -148,6 +149,15 @@ class TestCheckpoints:
     def test_missing_checkpoint_raises(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path, name="missing")
+
+    def test_retired_config_fields_are_ignored(self, tmp_path, fault_generator):
+        save_checkpoint(fault_generator.policy, tmp_path, name="older")
+        meta_path = tmp_path / "older.json"
+        metadata = json.loads(meta_path.read_text())
+        metadata["config"]["compiled_decode"] = True  # a field earlier releases wrote
+        meta_path.write_text(json.dumps(metadata))
+        restored = load_checkpoint(tmp_path, name="older")
+        assert restored.config == fault_generator.policy.config
 
     def test_corrupt_metadata_raises(self, tmp_path, fault_generator):
         save_checkpoint(fault_generator.policy, tmp_path, name="broken")

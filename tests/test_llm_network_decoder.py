@@ -7,8 +7,18 @@ import pytest
 
 from repro.config import ModelConfig
 from repro.errors import ModelError
-from repro.llm import DECISION_SLOTS, Decoder, DecisionVector, FeatureEncoder, PolicyNetwork, reference_decisions
+from repro.llm import (
+    DECISION_SLOTS,
+    DecisionAutomaton,
+    Decoder,
+    FeatureEncoder,
+    PolicyNetwork,
+    reference_decisions,
+)
 from repro.rng import SeededRNG
+
+#: Decoder unit tests decode unconstrained prompts.
+FREE = DecisionAutomaton.from_constraints({})
 
 
 @pytest.fixture()
@@ -107,33 +117,33 @@ class TestDecoder:
 
     def test_greedy_picks_argmax(self, policy, encoded_prompt):
         distributions = self.make_distributions(policy, encoded_prompt)
-        result = Decoder().greedy(distributions)
+        result = Decoder().greedy(distributions, FREE)
         for slot, values in DECISION_SLOTS.items():
             expected = values[int(np.argmax(distributions[slot]))]
             assert result.decisions.to_dict()[slot] == expected
 
     def test_greedy_is_deterministic(self, policy, encoded_prompt):
         distributions = self.make_distributions(policy, encoded_prompt)
-        assert Decoder().greedy(distributions).decisions == Decoder().greedy(distributions).decisions
+        assert Decoder().greedy(distributions, FREE).decisions == Decoder().greedy(distributions, FREE).decisions
 
     def test_sampling_respects_one_hot_distributions(self, policy, encoded_prompt):
         distributions = {
             slot: np.eye(len(values))[0] for slot, values in DECISION_SLOTS.items()
         }
-        result = Decoder(rng=SeededRNG(5)).sample(distributions)
+        result = Decoder(rng=SeededRNG(5)).sample(distributions, automaton=FREE)
         for slot, values in DECISION_SLOTS.items():
             assert result.decisions.to_dict()[slot] == values[0]
 
     def test_top_k_one_equals_greedy(self, policy, encoded_prompt):
         distributions = self.make_distributions(policy, encoded_prompt)
-        sampled = Decoder(rng=SeededRNG(7)).sample(distributions, top_k=1)
-        assert sampled.decisions == Decoder().greedy(distributions).decisions
+        sampled = Decoder(rng=SeededRNG(7)).sample(distributions, top_k=1, automaton=FREE)
+        assert sampled.decisions == Decoder().greedy(distributions, FREE).decisions
 
     def test_top_p_truncation_excludes_tail(self, policy, encoded_prompt):
         decoder = Decoder(rng=SeededRNG(11))
         distributions = {slot: probs for slot, probs in self.make_distributions(policy, encoded_prompt).items()}
         for _ in range(20):
-            result = decoder.sample(distributions, top_p=0.5)
+            result = decoder.sample(distributions, top_p=0.5, automaton=FREE)
             for slot, probs in distributions.items():
                 chosen = result.decisions.to_dict()[slot]
                 chosen_probability = probs[DECISION_SLOTS[slot].index(chosen)]
@@ -141,7 +151,7 @@ class TestDecoder:
 
     def test_logprob_uses_untruncated_distribution(self, policy, encoded_prompt):
         distributions = self.make_distributions(policy, encoded_prompt)
-        result = Decoder(rng=SeededRNG(13)).sample(distributions, top_k=1)
+        result = Decoder(rng=SeededRNG(13)).sample(distributions, top_k=1, automaton=FREE)
         manual = sum(
             float(np.log(distributions[slot][DECISION_SLOTS[slot].index(value)] + 1e-12))
             for slot, value in result.decisions.to_dict().items()
@@ -150,7 +160,7 @@ class TestDecoder:
 
     def test_diverse_candidates_unique_and_counted(self, policy, encoded_prompt):
         distributions = self.make_distributions(policy, encoded_prompt)
-        candidates = Decoder(rng=SeededRNG(17)).diverse_candidates(distributions, count=4)
+        candidates = Decoder(rng=SeededRNG(17)).diverse_candidates(distributions, count=4, automaton=FREE)
         assert len(candidates) == 4
         assert candidates[0].strategy == "greedy"
         keys = {tuple(sorted(c.decisions.to_dict().items())) for c in candidates[:3]}
@@ -161,4 +171,4 @@ class TestDecoder:
 
         distributions = self.make_distributions(policy, encoded_prompt)
         with pytest.raises(GenerationError):
-            Decoder().sample(distributions, temperature=0.0)
+            Decoder().sample(distributions, temperature=0.0, automaton=FREE)
