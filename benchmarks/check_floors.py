@@ -118,7 +118,7 @@ FLOORS: list[tuple[str, str, tuple[str, ...], float]] = [
     ),
     (
         "resilience.json",
-        "supervised fault-free execution vs unsupervised",
+        "supervised fault-free pool vs bare executor",
         ("fault_free", "ratio"),
         0.9,
     ),

@@ -316,19 +316,18 @@ class ChaosConfig:
 class ResilienceConfig:
     """Failure-handling behaviour of the serving and execution planes.
 
-    ``supervise`` turns on the worker pool's supervision loop (proactive
-    liveness checks, requeue-on-worker-death, poison-task quarantine);
+    Both pooled planes always supervise their workers through one state
+    machine, :class:`~repro.execution.supervision.SupervisedBatch`:
     ``task_retry_budget`` bounds how often one task may be re-executed after
     its worker died, and ``quarantine_threshold`` is how many worker deaths
-    one task may cause before it is failed individually instead of recycling
-    the pool forever.  The retry fields parameterize the deterministic
-    exponential-backoff :class:`~repro.resilience.RetryPolicy` wrapped around
-    sandbox execution; the breaker fields parameterize the per-(target, mode)
-    :class:`~repro.resilience.CircuitBreaker`.  ``chaos`` configures the
-    self-chaos harness (:class:`ChaosConfig`).
+    one task may be charged with before it is failed individually instead of
+    recycling the pool forever.  The retry fields parameterize the
+    deterministic exponential-backoff :class:`~repro.resilience.RetryPolicy`
+    wrapped around sandbox execution; the breaker fields parameterize the
+    per-(target, mode) :class:`~repro.resilience.CircuitBreaker`.  ``chaos``
+    configures the self-chaos harness (:class:`ChaosConfig`).
     """
 
-    supervise: bool = True
     task_retry_budget: int = 3
     quarantine_threshold: int = 2
     retry_max_attempts: int = 3

@@ -30,7 +30,7 @@ from .protocol import (
     recv_frame,
     send_frame,
 )
-from .worker import RemoteWorker, default_worker_id, observation_to_payload, run_worker
+from .worker import RemoteWorker, default_worker_id, run_worker
 
 __all__ = [
     "DistributedPool",
@@ -50,7 +50,6 @@ __all__ = [
     "encode_frame",
     "frame_from_dict",
     "launch_workers",
-    "observation_to_payload",
     "parse_address",
     "recv_frame",
     "run_worker",

@@ -1,23 +1,24 @@
 """The distributed coordinator: a machine-spanning :class:`DistributedPool`.
 
-``DistributedPool`` exposes the exact batch interface of
+``DistributedPool`` exposes the batch interface of
 :class:`repro.execution.WorkerPool` — ``run_batch`` over module sources with
 submission-ordered payload dicts, ``stats()`` supervision counters,
-``check_liveness()`` / ``shutdown()`` — but executes on **remote sandbox
-workers** that dial in over TCP (:mod:`repro.distributed.protocol`) instead
-of forked local processes.  ``ExecutionConfig.default_mode = "distributed"``
-(or ``mode="distributed"`` on any request) routes every existing
-``run_batch`` / ``run_many`` call site through it unchanged.
+``shutdown()`` — but executes on **remote sandbox workers** that dial in over
+TCP (:mod:`repro.distributed.protocol`) instead of forked local processes.
+``ExecutionConfig.default_mode = "distributed"`` (or ``mode="distributed"``
+on any request) routes every existing ``run_batch`` / ``run_many`` call site
+through it unchanged.
 
 Scheduling is lease-based: idle workers are handed LEASE frames of up to
 ``capacity`` tasks, each with a wall-clock budget derived from the per-task
 sandbox timeout (itself clamped upstream by the request
 :class:`~repro.resilience.Deadline`).  Workers heartbeat while executing; a
-missed heartbeat, an expired lease, or a dropped connection requeues the
-lease's unfinished tasks under the same bounded supervision rules as the
-local pool — ``ResilienceConfig.task_retry_budget`` caps re-executions and a
-task repeatedly attributed worker deaths is quarantined.  Workers may join
-and leave **mid-campaign**: a joiner is handed pending work on its next
+missed heartbeat, an expired lease, or a dropped connection is reported to
+the same :class:`~repro.execution.supervision.SupervisedBatch` state machine
+the local pool drives — ``ResilienceConfig.task_retry_budget`` caps
+re-executions and a task repeatedly charged worker deaths is quarantined; a
+death is charged to a task only when it held a one-task lease.  Workers may
+join and leave **mid-campaign**: a joiner is handed pending work on its next
 scheduler pass, a leaver's lease is requeued, and the ``rebalances`` counter
 records every membership change observed during an active batch.
 
@@ -31,7 +32,6 @@ suite in ``tests/test_chaos_differential.py``).
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import socket
 import threading
@@ -41,7 +41,7 @@ from typing import Any
 from ..config import DistributedConfig, ResilienceConfig
 from ..errors import RequestError, SandboxError
 from ..execution.pool import resolve_workers
-from ..resilience.chaos import chaos_payload
+from ..execution.supervision import SupervisedBatch
 from ..resilience.retry import RetryPolicy
 from .protocol import (
     Frame,
@@ -89,27 +89,6 @@ class _Lease:
         self.link = link
         self.indices = indices
         self.deadline = deadline
-
-
-class _BatchState:
-    """Mutable bookkeeping for one ``run_batch`` call."""
-
-    def __init__(self, tasks: list[dict[str, Any]]) -> None:
-        self.tasks = tasks
-        self.results: list[dict[str, Any] | None] = [None] * len(tasks)
-        self.attempts = [0] * len(tasks)
-        self.deaths = [0] * len(tasks)  # worker deaths *attributed* (solo leases only)
-        self.suspect = [False] * len(tasks)
-        self.pending: list[int] = list(range(len(tasks)))
-        heapq.heapify(self.pending)
-        self.last_activity = time.monotonic()
-
-    def done(self) -> bool:
-        return all(result is not None for result in self.results)
-
-    def outstanding(self) -> int:
-        """Tasks not yet resolved (pending + leased)."""
-        return sum(1 for result in self.results if result is None)
 
 
 class DistributedPool:
@@ -167,7 +146,8 @@ class DistributedPool:
         self._batch_lock = threading.Lock()
         self._workers: dict[str, _WorkerLink] = {}
         self._active_leases: dict[int, _Lease] = {}
-        self._state: _BatchState | None = None
+        self._batch: SupervisedBatch | None = None
+        self._last_activity = time.monotonic()  # the starvation clock
         self._lease_ids = itertools.count(1)
         self._closed = False
         self._fleet = None
@@ -211,19 +191,6 @@ class DistributedPool:
             return self._wake.wait_for(
                 lambda: sum(link.ready for link in self._workers.values()) >= count, timeout
             )
-
-    def check_liveness(self) -> bool:
-        """Parity with ``WorkerPool``: whether the plane looks healthy.
-
-        Returns:
-            ``True`` when workers are connected or none were ever needed
-            (no batch has run yet); ``False`` when the pool has run work
-            before but currently has no live workers.
-        """
-        with self._lock:
-            if self._workers:
-                return True
-        return self.tasks_executed == 0
 
     def stats(self) -> dict[str, int]:
         """Supervision + distribution counters for ``/v1/stats``.
@@ -318,89 +285,62 @@ class DistributedPool:
         if not module_sources:
             return []
         timeout = float(timeout_seconds if timeout_seconds is not None else self.task_timeout_seconds)
-        chaos = chaos_payload(self.resilience.chaos) if self.resilience.supervise else None
-        tasks = [
-            {
-                "task_id": str(index),
-                "target": target_name,
-                "source": source,
-                "seed": seed,
-                "iterations": iterations,
-                "timeout_seconds": timeout,
-                "chaos": chaos,
-                "chaos_key": f"{target_name}:{seed}:{index}",
-                "attempt": 0,
-            }
-            for index, source in enumerate(module_sources)
-        ]
+        batch = SupervisedBatch(
+            target_name, module_sources, seed, iterations, timeout,
+            self.resilience, plane="distributed", tally=self._tally_locked,
+        )
         with self._batch_lock:
             self._ensure_fleet()
-            state = _BatchState(tasks)
             with self._lock:
-                self._state = state
+                self._batch = batch
+                self._last_activity = time.monotonic()
             try:
-                self._drive(state, timeout)
+                self._drive(batch, timeout)
             finally:
                 with self._lock:
-                    self._state = None
-            self.tasks_executed += len(tasks)
-        return [
-            payload if payload is not None else {"status": "error", "error": "task produced no result"}
-            for payload in state.results
-        ]
+                    self._batch = None
+            self.tasks_executed += len(module_sources)
+        return batch.payloads()
 
     # -- scheduler loop ---------------------------------------------------------------
 
-    def _drive(self, state: _BatchState, timeout: float) -> None:
+    def _drive(self, batch: SupervisedBatch, timeout: float) -> None:
         """The scheduling loop: assign, watch liveness, requeue, repeat."""
         while True:
             stale = self._collect_stale()
             for link in stale:
                 self._worker_lost(link, "missed heartbeats / lease expired")
-            assignments = self._plan_assignments(state, timeout)
+            assignments = self._plan_assignments(batch, timeout)
             for link, lease in assignments:
-                self._dispatch_lease(link, lease, state)
+                self._dispatch_lease(link, lease, batch)
             with self._lock:
-                if state.done():
+                if batch.done():
                     return
                 if self._closed:
-                    self._fail_outstanding_locked(state, "coordinator shut down mid-batch")
+                    batch.fail_outstanding("coordinator shut down mid-batch")
                     return
                 self._wake.wait(timeout=0.05)
             self._maintain_fleet()
-            self._check_starvation(state)
+            self._check_starvation(batch)
 
     def _plan_assignments(
-        self, state: _BatchState, timeout: float
+        self, batch: SupervisedBatch, timeout: float
     ) -> list[tuple[_WorkerLink, _Lease]]:
         """Carve pending tasks into leases for idle workers (under the lock).
 
         Suspect tasks — victims of a multi-task lease whose worker died, so
-        the killer among them is unknown — always travel alone, making any
-        further death unambiguously attributable.
+        the killer among them is unknown — always travel alone (see
+        :meth:`SupervisedBatch.take`), making any further death attributable.
         """
         assignments: list[tuple[_WorkerLink, _Lease]] = []
         lease_cap = self.distributed.lease_size
         with self._lock:
-            if self._state is not state:
+            if self._batch is not batch:
                 return []
             for link in sorted(self._workers.values(), key=lambda l: l.worker_id):
                 if link.lease is not None or not link.alive or not link.ready:
                     continue
-                if not state.pending:
-                    break
-                limit = lease_cap if lease_cap > 0 else link.capacity
-                indices: list[int] = []
-                while state.pending and len(indices) < max(1, limit):
-                    index = heapq.heappop(state.pending)
-                    if state.results[index] is not None:
-                        continue  # resolved by a late result while queued
-                    if state.suspect[index] and indices:
-                        heapq.heappush(state.pending, index)
-                        break
-                    indices.append(index)
-                    if state.suspect[index]:
-                        break  # suspects run solo
+                indices = batch.take(lease_cap if lease_cap > 0 else link.capacity)
                 if not indices:
                     continue
                 deadline = time.monotonic() + timeout * len(indices) + _LEASE_GRACE_SECONDS
@@ -411,7 +351,7 @@ class DistributedPool:
                 assignments.append((link, lease))
         return assignments
 
-    def _dispatch_lease(self, link: _WorkerLink, lease: _Lease, state: _BatchState) -> None:
+    def _dispatch_lease(self, link: _WorkerLink, lease: _Lease, batch: SupervisedBatch) -> None:
         """Send one LEASE frame, retrying transient send failures.
 
         Sends ride the engine-wide :class:`~repro.resilience.RetryPolicy`
@@ -421,10 +361,7 @@ class DistributedPool:
         """
         frame = LeaseFrame(
             lease_id=lease.lease_id,
-            tasks=tuple(
-                {**state.tasks[index], "attempt": state.attempts[index]}
-                for index in lease.indices
-            ),
+            tasks=tuple(batch.task(index) for index in lease.indices),
             deadline_seconds=max(lease.deadline - time.monotonic(), 0.001),
         )
 
@@ -454,27 +391,24 @@ class DistributedPool:
         if self._fleet is not None:
             self.pool_rebuilds += self._fleet.maintain()
 
-    def _check_starvation(self, state: _BatchState) -> None:
+    def _check_starvation(self, batch: SupervisedBatch) -> None:
         """Fail outstanding tasks when no worker can ever serve them."""
         wait = self.distributed.worker_wait_seconds
         with self._lock:
-            if self._workers or state.done():
+            if self._workers or batch.done():
                 return
-            if time.monotonic() - state.last_activity <= wait:
+            if time.monotonic() - self._last_activity <= wait:
                 return
-            self._fail_outstanding_locked(
-                state,
+            batch.fail_outstanding(
                 f"no distributed workers available within {wait:g}s; "
                 "connect workers with `python -m repro worker --connect "
                 f"{self.connect_address}`",
             )
             self._wake.notify_all()
 
-    def _fail_outstanding_locked(self, state: _BatchState, reason: str) -> None:
-        for index, payload in enumerate(state.results):
-            if payload is None:
-                state.results[index] = {"status": "error", "error": reason}
-        state.pending.clear()
+    def _tally_locked(self, counter: str) -> None:
+        """Count one requeue or quarantine (batch events run under the lock)."""
+        setattr(self, counter, getattr(self, counter) + 1)
 
     # -- worker events (reader threads) ----------------------------------------------
 
@@ -545,9 +479,9 @@ class DistributedPool:
             if self._closed or self._workers.get(worker_id) is not link:
                 return None
             link.ready = True
-            if self._state is not None:
+            if self._batch is not None:
                 self.rebalances += 1
-                self._state.last_activity = time.monotonic()
+                self._last_activity = time.monotonic()
             self._wake.notify_all()
         return link
 
@@ -574,21 +508,18 @@ class DistributedPool:
                 return
             if link.lease is lease:
                 link.lease = None
-            state = self._state
-            if state is None:
+            batch = self._batch
+            if batch is None:
                 return
-            state.last_activity = time.monotonic()
+            self._last_activity = time.monotonic()
             for index in lease.indices:
-                if state.results[index] is not None:
-                    continue
                 payload = frame.results.get(str(index))
                 if payload is not None:
-                    state.results[index] = dict(payload)
-                    state.suspect[index] = False
+                    batch.resolve(index, dict(payload))
                 else:
-                    # Computed-then-lost (chaos drop) or inner-pool death:
-                    # requeue without attributing a worker death.
-                    self._requeue_lease_tasks_locked(state, [index], attributed=False)
+                    # Computed-then-lost (a chaos drop): requeue without
+                    # charging a worker death.
+                    batch.vanished(index)
             self._wake.notify_all()
 
     def _worker_lost(self, link: _WorkerLink, reason: str) -> None:
@@ -601,64 +532,21 @@ class DistributedPool:
             lease, link.lease = link.lease, None
             if lease is not None:
                 self._active_leases.pop(lease.lease_id, None)
-            state = self._state
-            if state is not None:
+            batch = self._batch
+            if batch is not None:
                 self.rebalances += 1
-                state.last_activity = time.monotonic()
-                if lease is not None:
-                    unresolved = [i for i in lease.indices if state.results[i] is None]
-                    if unresolved:
-                        self.requeues += 1
-                        # A solo lease makes the death attributable to its one
-                        # task; a grouped lease only yields suspects.
-                        attributed = len(lease.indices) == 1
-                        if not attributed:
-                            for index in unresolved:
-                                state.suspect[index] = True
-                        self._requeue_lease_tasks_locked(state, unresolved, attributed=attributed)
+                self._last_activity = time.monotonic()
+                if lease is not None and batch.unresolved(lease.indices):
+                    self.requeues += 1
+                    # A solo lease makes the death attributable to its one
+                    # task; a grouped lease only yields suspects.
+                    for index in lease.indices:
+                        batch.died(index, alone=len(lease.indices) == 1)
             self._wake.notify_all()
         try:
             link.sock.close()
         except OSError:
             pass
-
-    def _requeue_lease_tasks_locked(
-        self, state: _BatchState, indices: list[int], attributed: bool
-    ) -> None:
-        """Requeue tasks whose result vanished, or fail them at their bounds.
-
-        Mirrors ``WorkerPool._requeue``: ``quarantine_threshold`` attributed
-        deaths quarantine the task, and more than ``task_retry_budget``
-        re-executions fail it as retry-exhausted, so the loop always
-        terminates.
-        """
-        config = self.resilience
-        for index in indices:
-            if attributed:
-                state.deaths[index] += 1
-                if state.deaths[index] >= config.quarantine_threshold:
-                    self.quarantined += 1
-                    state.results[index] = {
-                        "status": "error",
-                        "error": (
-                            f"task quarantined after killing {state.deaths[index]} distributed "
-                            f"workers (threshold {config.quarantine_threshold})"
-                        ),
-                        "quarantined": True,
-                    }
-                    continue
-            state.attempts[index] += 1
-            if state.attempts[index] > config.task_retry_budget:
-                state.results[index] = {
-                    "status": "error",
-                    "error": (
-                        f"worker died and the task's retry budget "
-                        f"({config.task_retry_budget}) is exhausted"
-                    ),
-                }
-                continue
-            self.retries += 1
-            heapq.heappush(state.pending, index)
 
     # -- localhost fleet ---------------------------------------------------------------
 

@@ -2,11 +2,12 @@
 
 A :class:`RemoteWorker` dials the coordinator, announces its capacity with a
 HELLO frame, and then serves LEASE frames until the coordinator says GOODBYE
-(or the connection drops).  Leased tasks are executed through the existing
-:class:`~repro.integration.runner.SandboxRunner` in ``pool`` mode, so every
-isolation property of local pooled execution — per-task ``SIGALRM`` budgets,
-requeue-on-death supervision of the inner pool, poison-task quarantine —
-holds unchanged on the remote side; the worker only adds the network hop.
+(or the connection drops).  Leased tasks run on a local
+:class:`~repro.execution.WorkerPool` whose payloads travel back unchanged, so
+every isolation property of local pooled execution — per-task ``SIGALRM``
+budgets, requeue-on-death supervision of the inner pool, poison-task
+quarantine and its ``"quarantined": true`` flag — holds on the remote side;
+the worker only adds the network hop.
 
 While a lease executes, a background thread heartbeats the coordinator every
 ``heartbeat_interval_seconds`` (assigned by the REGISTER frame), which is how
@@ -31,9 +32,9 @@ import threading
 import time
 from typing import Any, Mapping
 
-from ..config import ExecutionConfig, IntegrationConfig, ResilienceConfig
+from ..config import IntegrationConfig
 from ..errors import RequestError, SandboxError
-from ..integration.runner import RunObservation, SandboxRunner
+from ..execution.pool import WorkerPool
 from ..resilience.chaos import CRASH, DELAY, DROP, should_inject
 from .protocol import (
     GoodbyeFrame,
@@ -57,24 +58,6 @@ def default_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
-def observation_to_payload(observation: RunObservation) -> dict[str, Any]:
-    """Convert a sandbox observation back into the pool wire payload.
-
-    The distributed plane speaks the same payload dialect as
-    :meth:`repro.execution.WorkerPool.run_batch` (``status`` of ``ok`` /
-    ``timeout`` / ``error``) so the coordinator is byte-compatible with the
-    local pool.
-    """
-    if observation.result is not None:
-        return {"status": "ok", "result": observation.result.to_dict()}
-    if observation.timed_out:
-        return {"status": "timeout"}
-    return {
-        "status": "error",
-        "error": str(observation.harness_error or "worker produced no result"),
-    }
-
-
 class RemoteWorker:
     """One remote sandbox worker process serving leases from a coordinator."""
 
@@ -95,8 +78,9 @@ class RemoteWorker:
                 advertises in its HELLO frame.
             worker_id: Stable identity; defaults to ``host-pid``.  The
                 coordinator may uniquify it in the REGISTER reply.
-            integration: Sandbox behaviour for leased tasks; per-lease task
-                timeouts override ``test_timeout_seconds``.
+            integration: Supplies the default task budget,
+                ``test_timeout_seconds``; per-lease task timeouts override
+                it.
 
         Raises:
             SandboxError: If ``max_workers`` is not positive.
@@ -107,13 +91,13 @@ class RemoteWorker:
         self.port = int(port)
         self.capacity = int(max_workers)
         self.worker_id = worker_id or default_worker_id()
-        self._runner = SandboxRunner(
-            integration or IntegrationConfig(),
-            execution=ExecutionConfig(max_workers=self.capacity),
-            # The inner pool supervises itself but never injects chaos: the
-            # coordinator schedules chaos at the worker-process level and
-            # double application would break the attempt-0-only guarantee.
-            resilience=ResilienceConfig(),
+        # The inner pool supervises itself but never injects chaos (it keeps
+        # the default resilience): the coordinator schedules chaos at the
+        # worker-process level and double application would break the
+        # attempt-0-only guarantee.
+        self._pool = WorkerPool(
+            max_workers=self.capacity,
+            task_timeout_seconds=(integration or IntegrationConfig()).test_timeout_seconds,
         )
         self._sock: socket.socket | None = None
         self._send_lock = threading.Lock()
@@ -131,7 +115,7 @@ class RemoteWorker:
                 sock.close()
             except OSError:  # pragma: no cover - close is best-effort
                 pass
-        self._runner.close()
+        self._pool.shutdown()
 
     def __enter__(self) -> "RemoteWorker":
         return self
@@ -230,7 +214,7 @@ class RemoteWorker:
                 return
 
     def _execute_tasks(self, tasks: list[Mapping[str, Any]]) -> dict[str, dict[str, Any]]:
-        """Run a lease's tasks through the sandbox runner, acting out chaos.
+        """Run a lease's tasks on the inner pool, acting out chaos.
 
         Returns:
             ``task_id -> payload`` for every task that produced a result;
@@ -253,30 +237,25 @@ class RemoteWorker:
             groups.setdefault(key, []).append(task)
         for (target, seed, iterations, timeout), members in groups.items():
             try:
-                observations = self._runner.run_batch(
+                payloads = self._pool.run_batch(
                     target,
                     [str(task.get("source", "")) for task in members],
                     seed=seed,
                     iterations=iterations,
-                    mode="pool",
                     timeout_seconds=timeout,
                 )
             except Exception as exc:  # noqa: BLE001 - a lease must never kill the worker
-                observations = [
-                    RunObservation(result=None, harness_error=f"{type(exc).__name__}: {exc}")
-                    for _ in members
-                ]
-            for task, observation in zip(members, observations):
+                payloads = [{"status": "error", "error": f"{type(exc).__name__}: {exc}"} for _ in members]
+            for task, payload in zip(members, payloads):
                 task_id = str(task["task_id"])
-                if task_id in dropped:
-                    continue
-                results[task_id] = observation_to_payload(observation)
+                if task_id not in dropped:
+                    results[task_id] = payload
         return results
 
     def _apply_chaos(self, task: Mapping[str, Any], dropped: set[str]) -> None:
         """Act out the chaos the coordinator scheduled for one task.
 
-        A ``crash`` releases the inner sandbox pool and then SIGKILLs the
+        A ``crash`` shuts the inner sandbox pool down and then SIGKILLs the
         worker — from the coordinator's side an abrupt connection loss,
         exactly like a machine death.
         """
@@ -291,7 +270,7 @@ class RemoteWorker:
         if should_inject(config, key, DELAY, attempt):
             time.sleep(config.task_delay_seconds)
         if should_inject(config, key, CRASH, attempt):
-            self._runner.close()
+            self._pool.shutdown()
             os.kill(os.getpid(), signal.SIGKILL)
         if should_inject(config, key, DROP, attempt):
             dropped.add(str(task["task_id"]))

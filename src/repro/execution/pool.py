@@ -16,12 +16,11 @@ Isolation properties match subprocess mode where it matters:
 * results are returned in submission order regardless of completion order, so
   campaign reports are deterministic for a given seed.
 
-On top of that sits a supervision loop (on by default, see
-:class:`~repro.config.ResilienceConfig`): worker liveness is checked
-proactively before each batch, tasks whose worker died are requeued under a
-bounded retry budget, and a poison task that repeatedly kills workers is
-quarantined — failed individually — instead of recycling the pool forever.
-Supervision is also the layer that absorbs self-chaos
+Every batch starts with a worker liveness check and is supervised by a
+:class:`~.supervision.SupervisedBatch`, the state machine the distributed
+coordinator drives too: tasks whose worker died are requeued under a bounded
+retry budget, and a poison task that repeatedly kills workers is quarantined
+instead of recycling the pool forever.  Supervision also absorbs self-chaos
 (:mod:`repro.resilience.chaos`): injected worker crashes, stalls, and dropped
 results perturb scheduling only, so chaotic campaigns terminate with results
 byte-identical to fault-free runs.
@@ -41,6 +40,7 @@ from typing import Any
 
 from ..config import ResilienceConfig
 from ..errors import SandboxError
+from .supervision import SupervisedBatch
 
 #: Extra parent-side grace on top of the in-worker alarm before a worker is
 #: declared wedged and the pool is rebuilt.
@@ -151,10 +151,6 @@ class WorkerPool:
     private one-worker executor, so a worker death there is attributable to
     its task alone.  The supervision counters are updated under the pool's
     lock.
-    With supervision enabled (the default), victims of a worker death are
-    requeued under a bounded retry budget and repeat offenders are
-    quarantined; with ``resilience.supervise`` off the pool falls back to the
-    original single-retry-pass behaviour.
     """
 
     def __init__(
@@ -170,9 +166,9 @@ class WorkerPool:
                 :func:`resolve_workers`.
             task_timeout_seconds: Default per-task time budget, enforced
                 inside each worker with ``SIGALRM``.
-            resilience: Supervision / chaos behaviour; defaults to
-                :class:`~repro.config.ResilienceConfig` (supervision on,
-                chaos off).
+            resilience: Retry budget, quarantine threshold and chaos;
+                defaults to :class:`~repro.config.ResilienceConfig` (chaos
+                off).
 
         Raises:
             SandboxError: If ``task_timeout_seconds`` is not positive.
@@ -217,7 +213,7 @@ class WorkerPool:
     def check_liveness(self) -> bool:
         """Proactively verify the pool's workers are alive.
 
-        Called at the start of every supervised batch so a worker that died
+        Called at the start of every batch so a worker that died
         between batches (OOM kill, external signal) is noticed *before* work
         is submitted into a broken executor, not after the first
         :class:`BrokenProcessPool` surfaces.
@@ -292,134 +288,44 @@ class WorkerPool:
             rebuilt pool.
         """
         timeout = float(timeout_seconds if timeout_seconds is not None else self.task_timeout_seconds)
-        supervised = self.resilience.supervise
-        # Chaos needs the supervision loop to requeue its victims, so it is
-        # inert on the legacy path.
-        chaos = None
-        if supervised and self.resilience.chaos.any_faults():
-            from ..resilience.chaos import chaos_payload
-
-            chaos = chaos_payload(self.resilience.chaos)
-        tasks = [
-            {
-                "target": target_name,
-                "source": source,
-                "seed": seed,
-                "iterations": iterations,
-                "timeout_seconds": timeout,
-                "chaos": chaos,
-                "chaos_key": f"{target_name}:{seed}:{index}",
-                "attempt": 0,
-            }
-            for index, source in enumerate(module_sources)
-        ]
+        batch = SupervisedBatch(
+            target_name, module_sources, seed, iterations, timeout,
+            self.resilience, plane="pool", tally=self._tally,
+        )
         backstop = timeout + _BACKSTOP_GRACE_SECONDS
-        if supervised:
-            results = self._run_batch_supervised(tasks, backstop)
-        else:
-            results = self._run_batch_legacy(tasks, backstop)
-        with self._lock:
-            self.tasks_executed += len(tasks)
-        return results
-
-    # -- supervised path ----------------------------------------------------------
-
-    def _run_batch_supervised(self, tasks: list[dict[str, Any]], backstop: float) -> list[dict[str, Any]]:
-        """Round-based supervision: requeue on death, quarantine repeat killers.
-
-        Round 0 submits every task in parallel.  Tasks whose worker died (or
-        whose result was chaos-dropped) are requeued; suspected pool killers
-        rerun **one at a time** on a private one-worker executor, so a death is
-        unambiguously attributable to them.  A task attributed
-        ``quarantine_threshold`` worker deaths is quarantined — failed
-        individually — and a task requeued more than ``task_retry_budget``
-        times is failed as retry-exhausted, so the loop always terminates.
-        """
-        results: list[dict[str, Any] | None] = [None] * len(tasks)
-        deaths = [0] * len(tasks)  # worker deaths *attributed* (solo runs only)
-        attempts = [0] * len(tasks)
-        suspect = [False] * len(tasks)
-        pending = list(range(len(tasks)))
-
         self.check_liveness()
-        while pending:
-            requeued: list[int] = []
-            solo = [index for index in pending if suspect[index]]
-            grouped = [index for index in pending if not suspect[index]]
-
-            if grouped:
-                executor = self._ensure_executor()
-                futures = [
-                    (index, _submit(executor, {**tasks[index], "attempt": attempts[index]}))
-                    for index in grouped
-                ]
-                for index, future in futures:
-                    payload = self._collect(future, backstop, executor)
-                    if payload["status"] == "worker-died":
-                        # Cannot tell killer from victim in a parallel round;
-                        # everyone requeues as a suspect and reruns solo.
-                        suspect[index] = True
-                        self._requeue(index, tasks, attempts, deaths, results, requeued, attributed_death=False)
-                    elif payload["status"] == "chaos-dropped":
-                        self._requeue(index, tasks, attempts, deaths, results, requeued, attributed_death=False)
-                    else:
-                        results[index] = payload
-
-            for index in solo:
-                payload = _run_alone({**tasks[index], "attempt": attempts[index]}, backstop)
-                if payload["status"] == "worker-died":
-                    # Solo run: this task alone held the executor, so the
-                    # death is attributable to it.
-                    self._requeue(index, tasks, attempts, deaths, results, requeued, attributed_death=True)
-                elif payload["status"] == "chaos-dropped":
-                    self._requeue(index, tasks, attempts, deaths, results, requeued, attributed_death=False)
+        # Rounds: every task that may share a worker runs in parallel on the
+        # shared executor, then each suspect reruns alone on a private one.
+        while not batch.done():
+            shared: list[int] = []
+            alone: list[int] = []
+            while indices := batch.take(len(module_sources)):
+                if batch.is_suspect(indices[0]):
+                    alone.extend(indices)
                 else:
-                    results[index] = payload
-                    suspect[index] = False
+                    shared.extend(indices)
 
-            pending = requeued
+            if shared:
+                executor = self._ensure_executor()
+                futures = [(index, _submit(executor, batch.task(index))) for index in shared]
+                for index, future in futures:
+                    # A parallel round cannot tell killer from victim: every
+                    # task on a dead executor becomes a suspect and reruns alone.
+                    _report(batch, index, self._collect(future, backstop, executor), alone=False)
 
-        return [
-            payload if payload is not None else {"status": "error", "error": "task produced no result"}
-            for payload in results
-        ]
+            for index in alone:
+                # This task alone held its private executor, so a death there
+                # is attributable to it.
+                _report(batch, index, _run_alone(batch.task(index), backstop), alone=True)
 
-    def _requeue(
-        self,
-        index: int,
-        tasks: list[dict[str, Any]],
-        attempts: list[int],
-        deaths: list[int],
-        results: list[dict[str, Any] | None],
-        requeued: list[int],
-        attributed_death: bool,
-    ) -> None:
-        """Requeue a task whose result vanished, or fail it at its bounds."""
-        config = self.resilience
-        if attributed_death:
-            deaths[index] += 1
-            if deaths[index] >= config.quarantine_threshold:
-                with self._lock:
-                    self.quarantined += 1
-                results[index] = {
-                    "status": "error",
-                    "error": (
-                        f"task quarantined after killing {deaths[index]} pool workers "
-                        f"(threshold {config.quarantine_threshold})"
-                    ),
-                    "quarantined": True,
-                }
-                return
-        attempts[index] += 1
-        if attempts[index] > config.task_retry_budget:
-            results[index] = {
-                "status": "error",
-                "error": f"worker died and the task's retry budget ({config.task_retry_budget}) is exhausted",
-            }
-            return
         with self._lock:
-            self.retries += 1
-        requeued.append(index)
+            self.tasks_executed += len(module_sources)
+        return batch.payloads()
+
+    def _tally(self, counter: str) -> None:
+        """Count one requeue or quarantine; concurrent batches share the counters."""
+        with self._lock:
+            setattr(self, counter, getattr(self, counter) + 1)
 
     def _collect(self, future, backstop: float, executor: ProcessPoolExecutor) -> dict[str, Any]:
         """Resolve one future that ran on ``executor`` into a status payload."""
@@ -434,35 +340,16 @@ class WorkerPool:
         except Exception as exc:  # noqa: BLE001 - submission/pickling failures
             return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
 
-    # -- legacy single-retry-pass path (resilience.supervise = False) --------------
 
-    def _run_batch_legacy(self, tasks: list[dict[str, Any]], backstop: float) -> list[dict[str, Any]]:
-        results: list[dict[str, Any] | None] = [None] * len(tasks)
-        needs_retry: list[int] = []
-        executor = self._ensure_executor()
-        futures = [_submit(executor, task) for task in tasks]
-        for index, future in enumerate(futures):
-            try:
-                results[index] = future.result(timeout=backstop)
-            except FutureTimeoutError:
-                results[index] = {"status": "timeout"}
-                self._recycle(executor)  # outstanding futures fail over to the retry pass
-            except (BrokenProcessPool, CancelledError):
-                # A sibling wedged or killed its worker: running futures break,
-                # queued ones are cancelled by the recycle.  Both rerun below.
-                self._recycle(executor)
-                needs_retry.append(index)
-            except Exception as exc:  # noqa: BLE001 - submission/pickling failures
-                results[index] = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
-
-        # Retry pass: tasks whose sibling broke the pool rerun one at a time on
-        # a private executor, so a task that itself kills workers only fails itself.
-        for index in needs_retry:
-            results[index] = _run_alone(tasks[index], backstop)
-            if results[index]["status"] == "worker-died":
-                results[index] = {"status": "error", "error": "worker process died while executing the task"}
-
-        return [payload if payload is not None else {"status": "error", "error": "task produced no result"} for payload in results]
+def _report(batch: SupervisedBatch, index: int, payload: dict[str, Any], alone: bool) -> None:
+    """Report one collected payload to the batch as a supervision event."""
+    status = payload["status"]
+    if status == "worker-died":
+        batch.died(index, alone=alone)
+    elif status == "chaos-dropped":
+        batch.vanished(index)
+    else:
+        batch.resolve(index, payload)
 
 
 def _submit(executor: ProcessPoolExecutor, task: dict[str, Any]) -> "Future[dict[str, Any]]":

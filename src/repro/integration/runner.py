@@ -65,6 +65,13 @@ _MODES = ("subprocess", "inprocess", "pool", "distributed")
 #: survive a pool rebuild (``/v1/stats`` is monotonic within one engine).
 _POOL_COUNTER_KEYS = ("tasks_executed", "pool_rebuilds", "retries", "quarantined")
 
+#: The ``stats()`` keys of each pooled mode.  ``workers`` is a gauge: it
+#: reports the live pool only and is never carried across a rebuild.
+_STATS_KEYS = {
+    "pool": _POOL_COUNTER_KEYS,
+    "distributed": ("workers", "leases", "requeues", "rebalances", *_POOL_COUNTER_KEYS),
+}
+
 
 @dataclass
 class RunObservation:
@@ -106,10 +113,11 @@ class SandboxRunner:
         self._execution = execution or ExecutionConfig()
         self._resilience = resilience or ResilienceConfig()
         self._slots = slots
-        self._pool: WorkerPool | None = None
-        self._distributed = None  # lazily-created repro.distributed.DistributedPool
-        self._retired_pool_stats = dict.fromkeys(_POOL_COUNTER_KEYS, 0)
-        self._retired_distributed_stats: dict[str, int] = {}
+        # Lazily-created pools by mode: a WorkerPool under "pool", a
+        # repro.distributed.DistributedPool under "distributed".
+        self._pools: dict[str, Any] = {}
+        # Counters of pools replaced by a rebuild, by mode.
+        self._retired = {mode: dict.fromkeys(keys, 0) for mode, keys in _STATS_KEYS.items()}
         self._scratch: tempfile.TemporaryDirectory | None = None
         self._task_ids = itertools.count()
         self._lock = threading.Lock()
@@ -133,13 +141,7 @@ class SandboxRunner:
         ``max_workers`` override replacing the pool), so they are monotonic
         for the lifetime of this runner.
         """
-        with self._lock:
-            pool = self._pool
-            retired = dict(self._retired_pool_stats)
-        if pool is None:
-            return retired if any(retired.values()) else None
-        stats = pool.stats()
-        return {key: stats.get(key, 0) + retired.get(key, 0) for key in _POOL_COUNTER_KEYS}
+        return self._stats("pool")
 
     def distributed_stats(self) -> dict[str, int] | None:
         """Counters of the lazily-created distributed pool (``None`` before use).
@@ -147,30 +149,24 @@ class SandboxRunner:
         Like :meth:`pool_stats`, cumulative counters survive pool rebuilds;
         the ``workers`` gauge always reflects the live pool only.
         """
+        return self._stats("distributed")
+
+    def _stats(self, mode: str) -> dict[str, int] | None:
         with self._lock:
-            pool = self._distributed
-            retired = dict(self._retired_distributed_stats)
+            pool = self._pools.get(mode)
+            retired = dict(self._retired[mode])
         if pool is None:
-            if not retired:
-                return None
-            keys = ("leases", "requeues", "rebalances", *_POOL_COUNTER_KEYS)
-            return {"workers": 0, **{key: retired.get(key, 0) for key in keys}}
-        stats = pool.stats()
-        return {
-            key: (value if key == "workers" else value + retired.get(key, 0))
-            for key, value in stats.items()
-        }
+            return retired if any(retired.values()) else None
+        return {key: value + retired.get(key, 0) for key, value in pool.stats().items()}
 
     def close(self) -> None:
         """Release the worker pools and the scratch directory (idempotent)."""
         with self._lock:
-            pool, self._pool = self._pool, None
-            distributed, self._distributed = self._distributed, None
+            pools = list(self._pools.values())
+            self._pools.clear()
             scratch, self._scratch = self._scratch, None
-        if pool is not None:
+        for pool in pools:
             pool.shutdown()
-        if distributed is not None:
-            distributed.shutdown()
         if scratch is not None:
             scratch.cleanup()
 
@@ -206,16 +202,10 @@ class SandboxRunner:
         Raises:
             SandboxError: If ``mode`` is not a known execution mode.
         """
+        if mode not in _MODES:
+            raise SandboxError(f"unknown runner mode {mode!r}; use one of {_MODES}")
         iterations = iterations or self._config.workload_iterations
-        if mode == "inprocess":
-            return self._run_inprocess(target_name, module_source, seed, iterations)
-        if mode == "subprocess":
-            return self._run_subprocess(target_name, module_source, seed, iterations)
-        if mode == "pool":
-            return self._run_pool(target_name, [module_source], seed, iterations)[0]
-        if mode == "distributed":
-            return self._run_distributed(target_name, [module_source], seed, iterations)[0]
-        raise SandboxError(f"unknown runner mode {mode!r}; use one of {_MODES}")
+        return self._dispatch_chunk(target_name, [module_source], seed, iterations, mode, None)[0]
 
     def run_batch(
         self,
@@ -316,11 +306,7 @@ class SandboxRunner:
                         module_sources,
                     )
                 )
-        if mode == "distributed":
-            return self._run_distributed(
-                target_name, module_sources, seed, iterations, max_workers, timeout_seconds
-            )
-        return self._run_pool(target_name, module_sources, seed, iterations, max_workers, timeout_seconds)
+        return self._run_pooled(mode, target_name, module_sources, seed, iterations, max_workers, timeout_seconds)
 
     # -- modes --------------------------------------------------------------------
 
@@ -388,8 +374,9 @@ class SandboxRunner:
             )
         return RunObservation(result=self._result_from_payload(payload), stdout=stdout, stderr=stderr)
 
-    def _run_pool(
+    def _run_pooled(
         self,
+        mode: str,
         target_name: str,
         module_sources: list[str],
         seed: int,
@@ -397,8 +384,17 @@ class SandboxRunner:
         max_workers: int | None = None,
         timeout_seconds: float | None = None,
     ) -> list[RunObservation]:
-        pool = self._ensure_pool(max_workers)
-        payloads: list[dict[str, Any]] = []
+        """Run the sources on this runner's ``"pool"`` or ``"distributed"`` pool."""
+        pool = self._ensure_pool(mode, max_workers)
+        if timeout_seconds is None:
+            timeout_seconds = self._config.test_timeout_seconds
+        if mode == "distributed":
+            # Only local pool workers hold sandbox slots (see SandboxSlots).
+            payloads = pool.run_batch(
+                target_name, module_sources, seed=seed, iterations=iterations, timeout_seconds=timeout_seconds
+            )
+            return [self._observation_from_pool(payload) for payload in payloads]
+        payloads = []
         with self._claim(min(len(module_sources), pool.max_workers)) as granted:
             # Granted fewer slots than the pool has workers: feed it chunks
             # of that size, so no more tasks run at once than were granted.
@@ -410,95 +406,50 @@ class SandboxRunner:
                         module_sources[start : start + step],
                         seed=seed,
                         iterations=iterations,
-                        timeout_seconds=(
-                            timeout_seconds if timeout_seconds is not None else self._config.test_timeout_seconds
-                        ),
+                        timeout_seconds=timeout_seconds,
                     )
                 )
         return [self._observation_from_pool(payload) for payload in payloads]
 
-    def _run_distributed(
-        self,
-        target_name: str,
-        module_sources: list[str],
-        seed: int,
-        iterations: int,
-        max_workers: int | None = None,
-        timeout_seconds: float | None = None,
-    ) -> list[RunObservation]:
-        pool = self._ensure_distributed(max_workers)
-        payloads = pool.run_batch(
-            target_name,
-            module_sources,
-            seed=seed,
-            iterations=iterations,
-            timeout_seconds=timeout_seconds if timeout_seconds is not None else self._config.test_timeout_seconds,
-        )
-        return [self._observation_from_pool(payload) for payload in payloads]
-
     # -- helpers ------------------------------------------------------------------
 
-    def _ensure_pool(self, max_workers: int | None = None) -> WorkerPool:
+    def _ensure_pool(self, mode: str, max_workers: int | None = None) -> Any:
+        """The runner's pool for ``mode`` (``"pool"`` or ``"distributed"``)."""
         workers = self._execution.resolved_workers(max_workers)
         with self._lock:
-            if (
-                self._pool is not None
-                and max_workers is not None
-                and self._pool.max_workers != workers
-            ):
+            pool = self._pools.get(mode)
+            stale = None
+            if pool is not None and max_workers is not None and pool.max_workers != workers:
                 # An explicit per-call override takes effect even if a pool of a
                 # different size already exists.  Its counters roll into the
                 # retired totals so /v1/stats stays monotonic across rebuilds.
-                stale, self._pool = self._pool, None
-                self._accumulate_locked(self._retired_pool_stats, stale.stats())
-                self._retired_pool_stats["pool_rebuilds"] += 1
-            else:
-                stale = None
-            if self._pool is None:
-                self._pool = WorkerPool(
-                    max_workers=workers,
-                    task_timeout_seconds=self._config.test_timeout_seconds,
-                    resilience=self._resilience,
-                )
-            pool = self._pool
+                stale, pool = self._pools.pop(mode), None
+                retired = self._retired[mode]
+                for key, value in stale.stats().items():
+                    if key != "workers":
+                        retired[key] += value
+                retired["pool_rebuilds"] += 1
+            if pool is None:
+                pool = self._pools[mode] = self._new_pool(mode, workers)
         if stale is not None:
             stale.shutdown()
         return pool
 
-    def _ensure_distributed(self, max_workers: int | None = None):
-        from ..distributed import DistributedPool
+    def _new_pool(self, mode: str, workers: int) -> Any:
+        if mode == "distributed":
+            from ..distributed import DistributedPool
 
-        workers = self._execution.resolved_workers(max_workers)
-        with self._lock:
-            if (
-                self._distributed is not None
-                and max_workers is not None
-                and self._distributed.max_workers != workers
-            ):
-                stale, self._distributed = self._distributed, None
-                self._accumulate_locked(self._retired_distributed_stats, stale.stats())
-                self._retired_distributed_stats["pool_rebuilds"] += 1
-            else:
-                stale = None
-            if self._distributed is None:
-                self._distributed = DistributedPool(
-                    max_workers=workers,
-                    task_timeout_seconds=self._config.test_timeout_seconds,
-                    resilience=self._resilience,
-                    distributed=self._execution.distributed,
-                )
-            pool = self._distributed
-        if stale is not None:
-            stale.shutdown()
-        return pool
-
-    @staticmethod
-    def _accumulate_locked(retired: dict[str, int], stats: dict[str, int]) -> None:
-        """Fold a retired pool's counters into the running totals (gauges skipped)."""
-        for key, value in stats.items():
-            if key == "workers":
-                continue
-            retired[key] = retired.get(key, 0) + value
+            return DistributedPool(
+                max_workers=workers,
+                task_timeout_seconds=self._config.test_timeout_seconds,
+                resilience=self._resilience,
+                distributed=self._execution.distributed,
+            )
+        return WorkerPool(
+            max_workers=workers,
+            task_timeout_seconds=self._config.test_timeout_seconds,
+            resilience=self._resilience,
+        )
 
     @contextmanager
     def _claim(self, wanted: int) -> Iterator[int]:

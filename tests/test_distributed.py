@@ -27,6 +27,7 @@ from repro.distributed import (
     HelloFrame,
     LeaseFrame,
     RegisterFrame,
+    RemoteWorker,
     ResultFrame,
     recv_frame,
     send_frame,
@@ -36,6 +37,9 @@ from repro.integration import SandboxRunner
 from repro.targets import get_target
 
 pytestmark = pytest.mark.pool
+
+#: Kills the hosting worker process outright while the module loads.
+EXIT_ON_LOAD = "import os\nos._exit(7)\n"
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +124,7 @@ class TestDistributedFleetExecution:
     def test_stats_expose_distribution_counters(self, dist_runner, bank_source):
         dist_runner.run_batch("bank", [bank_source] * 2, seed=5, iterations=5, mode="distributed")
         # The batch can finish before the whole fleet has registered.
-        assert dist_runner._distributed.wait_for_workers(3, timeout=30.0)
+        assert dist_runner._pools["distributed"].wait_for_workers(3, timeout=30.0)
         stats = dist_runner.distributed_stats()
         assert stats["workers"] == 3
         assert stats["tasks_executed"] >= 2
@@ -162,6 +166,23 @@ class TestFleetShutdown:
         while _processes_mentioning(address) and time.monotonic() < deadline:
             time.sleep(0.1)
         assert _processes_mentioning(address) == []
+
+
+class TestRemoteWorkerPayloads:
+    def test_a_task_quarantined_inside_a_remote_worker_keeps_its_flag(self, bank_source):
+        distributed = DistributedConfig(spawn_workers=False, worker_wait_seconds=30.0)
+        with DistributedPool(max_workers=1, task_timeout_seconds=5.0, distributed=distributed) as pool:
+            worker = RemoteWorker(*pool.address, max_workers=1)
+            thread = threading.Thread(target=worker.run, daemon=True)
+            thread.start()
+            payloads = pool.run_batch(
+                "bank", [bank_source + EXIT_ON_LOAD, bank_source], seed=5, iterations=5
+            )
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()  # GOODBYE ended the worker and its inner pool
+        assert [payload["status"] for payload in payloads] == ["error", "ok"]
+        assert payloads[0]["quarantined"] is True
+        assert payloads[0]["error"] == "task quarantined after killing 2 pool workers (threshold 2)"
 
 
 class _ScriptedWorker:
@@ -330,10 +351,3 @@ class TestCoordinatorSupervision:
         pool.shutdown()
         with pytest.raises(SandboxError):
             pool.run_batch("bank", ["a"], seed=9, iterations=1)
-
-    def test_liveness_reflects_membership(self):
-        with _scripted_pool() as pool:
-            assert pool.check_liveness()  # nothing has run yet
-            _ScriptedWorker(pool).start()
-            pool.run_batch("bank", ["a"], seed=9, iterations=1)
-            assert pool.check_liveness()

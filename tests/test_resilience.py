@@ -439,14 +439,6 @@ class TestSupervisedPool:
             # the pool still serves healthy work afterwards
             assert [p["status"] for p in pool.run_batch("bank", [bank], iterations=10)] == ["ok"]
 
-    def test_unsupervised_mode_keeps_the_legacy_behaviour(self):
-        bank = get_target("bank").build_source()
-        resilience = ResilienceConfig(supervise=False)
-        with WorkerPool(max_workers=1, task_timeout_seconds=5.0, resilience=resilience) as pool:
-            payloads = pool.run_batch("bank", [bank, bank + EXIT_ON_LOAD, bank], iterations=10)
-            assert [p["status"] for p in payloads] == ["ok", "error", "ok"]
-            assert pool.quarantined == 0  # quarantine is a supervision feature
-
     def test_liveness_check_recycles_a_dead_pool(self):
         bank = get_target("bank").build_source()
         with WorkerPool(max_workers=1, task_timeout_seconds=5.0) as pool:
