@@ -882,7 +882,11 @@ class FaultInjectionEngine:
         target = getattr(request, "target", None)
         if not isinstance(request, (CampaignRequest, RLHFRequest)) or not target:
             return
-        mode = self._resolve_mode(request.mode)
+        if isinstance(request, CampaignRequest):
+            # Campaigns run on the default mode as is; RLHF trainers are promoted.
+            mode = request.mode or self.config.execution.default_mode
+        else:
+            mode = self._resolve_mode(request.mode)
         breaker = self._breakers.get(target, mode)
         if breaker.state == OPEN:
             raise CircuitOpenError(

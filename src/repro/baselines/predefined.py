@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..injection import InjectionPointLocator, ProgrammableInjector
+from ..errors import InjectionError
+from ..injection import InjectionPointLocator
 from ..injection.operators import AppliedFault, get_operator
 from ..rng import SeededRNG
 from ..types import FaultSpec, FaultType, HandlingStyle, TriggerKind
@@ -107,13 +108,26 @@ class RandomInjector:
 
     def __init__(self, rng: SeededRNG | None = None) -> None:
         self._rng = rng or SeededRNG(59, namespace="random-baseline")
-        self._injector = ProgrammableInjector(rng=self._rng.fork("injector"))
+        self._mutant_rng = self._rng.fork("injector")
+        self._locator = InjectionPointLocator()
 
     def plan(self, source: str, budget: int = 20) -> BaselineCampaignPlan:
+        """Apply points in a seeded random order until ``budget`` of them apply.
+
+        Whenever every point applies, this equals shuffling one mutant per
+        point and keeping the first ``budget``; a point that raises
+        :class:`InjectionError` is skipped for the next one in the order.
+        """
         plan = BaselineCampaignPlan(technique=self.technique_name)
-        mutants = self._injector.exhaustive_mutants(source)
-        mutants = self._rng.shuffle(mutants)
-        plan.faults = mutants[:budget]
+        points = self._locator.scan(source).points
+        for index in self._rng.generator.permutation(len(points)).tolist():
+            if len(plan.faults) >= budget:
+                break
+            point, rng = points[index], self._mutant_rng.fork(f"mutant:{index}")
+            try:
+                plan.faults.append(get_operator(point.operator).apply(source, point, rng=rng))
+            except InjectionError:
+                continue
         plan.configuration_actions = len(plan.faults)
         return plan
 

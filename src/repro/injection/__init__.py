@@ -5,8 +5,7 @@ Public surface:
 * :mod:`repro.injection.operators` — the fault operator library and registry;
 * :class:`InjectionPointLocator` — scans code for applicable fault sites;
 * :class:`FaultLoad` / :class:`FaultLoadEntry` — the programmable fault-load DSL;
-* :class:`ProgrammableInjector` — plans and applies fault loads, and generates
-  exhaustive mutants for dataset construction.
+* :class:`ProgrammableInjector` — plans and applies fault loads.
 """
 
 from .faultload import FaultLoad, FaultLoadEntry

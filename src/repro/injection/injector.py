@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from ..errors import InjectionError, NoInjectionPointError
+from ..errors import NoInjectionPointError
 from ..rng import SeededRNG
 from ..types import FaultType
 from .faultload import FaultLoad
@@ -113,34 +113,3 @@ class ProgrammableInjector:
             parameters=parameters,
             target_path=target_path,
         )
-
-    def exhaustive_mutants(
-        self,
-        source: str,
-        max_mutants: int | None = None,
-        target_path: str | None = None,
-    ) -> list[AppliedFault]:
-        """Generate one mutant per discoverable injection point (dataset mode).
-
-        Points that turn out not to produce a textual change (for example a
-        removal inside already-trivial code) are skipped rather than treated as
-        errors, because exhaustive scans intentionally over-approximate.
-        """
-        report = self._locator.scan(source)
-        mutants: list[AppliedFault] = []
-        for index, point in enumerate(report.points):
-            if max_mutants is not None and len(mutants) >= max_mutants:
-                break
-            operator = get_operator(point.operator)
-            try:
-                mutants.append(
-                    operator.apply(
-                        source,
-                        point,
-                        rng=self._rng.fork(f"mutant:{index}"),
-                        target_path=target_path,
-                    )
-                )
-            except InjectionError:
-                continue
-        return mutants

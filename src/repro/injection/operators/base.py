@@ -17,9 +17,13 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ...errors import InjectionError, NoInjectionPointError
+from ...execution.cache import get_cache
 from ...rng import SeededRNG
 from ...types import FaultType, Patch
 from .. import ast_utils
+
+#: Points per (operator, source); 30 operators scan each source, hence the bound.
+POINTS_CACHE = get_cache("injection-points", max_entries=1024)
 
 
 @dataclass(frozen=True)
@@ -83,12 +87,20 @@ class FaultOperator(ABC):
     summary: str = ""
 
     def find_points(self, source: str) -> list[InjectionPoint]:
-        """Enumerate every location in ``source`` where the operator applies."""
+        """Enumerate every location in ``source`` where the operator applies.
+
+        Scans are memoized per (operator, source); each call gets a fresh list.
+        """
+        key = POINTS_CACHE.key_for(self.name, source)
+        return list(POINTS_CACHE.get_or_compute(key, lambda: self._scan(source)))
+
+    def _scan(self, source: str) -> tuple[InjectionPoint, ...]:
         tree = ast_utils.parse_module(source, mutable=False)
-        points: list[InjectionPoint] = []
-        for function, class_name in ast_utils.iter_functions(tree):
-            points.extend(self._find_in_function(function, class_name))
-        return points
+        return tuple(
+            point
+            for function, class_name in ast_utils.iter_functions(tree)
+            for point in self._find_in_function(function, class_name)
+        )
 
     @abstractmethod
     def _find_in_function(

@@ -27,7 +27,8 @@ class ClassificationThresholds:
 
     error_margin: int = 1
     slowdown_factor: float = 3.0
-    slowdown_floor_seconds: float = 0.2
+    #: clear of the 0.2 s that short injected delays often add up to, so jitter cannot decide them
+    slowdown_floor_seconds: float = 0.15
 
     def __post_init__(self) -> None:
         self.error_margin = max(0, int(self.error_margin))

@@ -11,6 +11,7 @@ from repro.baselines import (
     PredefinedModelInjector,
     RandomInjector,
 )
+from repro.errors import InjectionError
 from repro.eval import (
     AlignmentSeries,
     TimingCollector,
@@ -29,8 +30,13 @@ from repro.eval import (
     token_bleu,
     token_jaccard,
 )
+from repro.injection import FaultOperator, InjectionPointLocator, get_operator
 from repro.llm import reference_decisions
+from repro.rng import SeededRNG
+from repro.targets import get_target, target_names
 from repro.types import FailureMode, FaultType, InjectionOutcome
+
+from oracles.eager_plan import eager_random_plan, exhaustive_mutants
 
 
 class TestPredefinedModelInjector:
@@ -66,6 +72,59 @@ class TestPredefinedModelInjector:
         assert not injector.can_express(spec)
         plan = injector.plan(sample_module, budget=5)
         assert len(plan.faults) == 5
+
+
+class TestRandomInjector:
+    """The lazy random plan against the eager oracle (``tests/oracles/eager_plan.py``)."""
+
+    @pytest.mark.parametrize("target", target_names())
+    def test_lazy_plan_equals_the_eager_oracle(self, target):
+        source = get_target(target).build_source()
+        eager = eager_random_plan(source, budget=20)
+        for budget in (1, 4, 6, 16, 20):
+            lazy = RandomInjector().plan(source, budget=budget)
+            assert [f.to_dict() for f in lazy.faults] == [f.to_dict() for f in eager.faults[:budget]]
+            assert lazy.configuration_actions == budget
+
+    def test_a_point_that_fails_to_apply_is_skipped(self, monkeypatch):
+        # The one case where lazy and eager differ: the eager plan shuffles
+        # one mutant fewer per failing point, the lazy plan takes the next point.
+        source = get_target("bank").build_source()
+        points = InjectionPointLocator().scan(source).points
+        order = SeededRNG(59, namespace="random-baseline").generator.permutation(len(points))
+        broken = get_operator(points[order[0]].operator)
+
+        def refuse(*_args, **_kwargs):
+            raise InjectionError("refused", operator=broken.name)
+
+        # Patch the class: undoing an instance patch would leave a bound
+        # method behind on the registry's singleton.
+        monkeypatch.setattr(type(broken), "apply", refuse)
+        plan = RandomInjector().plan(source, budget=6)
+        expected = [points[i] for i in order if points[i].operator != broken.name][:6]
+        assert [fault.point for fault in plan.faults] == expected
+        assert plan.configuration_actions == 6
+
+    def test_plan_builds_only_the_mutants_it_keeps(self, monkeypatch):
+        calls = []
+        apply = FaultOperator.apply
+
+        def counting(self, *args, **kwargs):
+            calls.append(self.name)
+            return apply(self, *args, **kwargs)
+
+        monkeypatch.setattr(FaultOperator, "apply", counting)
+        plan = RandomInjector().plan(get_target("bank").build_source(), budget=6)
+        assert len(plan.faults) == len(calls) == 6
+
+    def test_exhaustive_mutants_all_differ_from_original(self, sample_module):
+        mutants = exhaustive_mutants(sample_module, SeededRNG(0, namespace="injector"), max_mutants=25)
+        assert len(mutants) == 25
+        assert all(mutant.patch.mutated != sample_module for mutant in mutants)
+
+    def test_exhaustive_mutants_respects_budget(self, sample_module):
+        rng = SeededRNG(0, namespace="injector")
+        assert len(exhaustive_mutants(sample_module, rng, max_mutants=5)) == 5
 
 
 class TestManualEffortModel:

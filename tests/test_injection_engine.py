@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import uuid
 
 import pytest
 
 from repro.errors import ConfigurationError, InjectionError, NoInjectionPointError
+from repro.execution import cache_stats
 from repro.injection import (
     FaultLoad,
     FaultLoadEntry,
@@ -75,6 +77,43 @@ class TestLocator:
         assert {point.operator for point in report.points} == {"negate_condition"}
 
 
+class TestPointCache:
+    """``FaultOperator.find_points`` is memoized per (operator, source)."""
+
+    @staticmethod
+    def fresh_source() -> str:
+        # A name no other test uses, so the first scan is always a miss.
+        return f"def probe_{uuid.uuid4().hex}(flag):\n    if flag:\n        return 1\n    return 0\n"
+
+    @staticmethod
+    def counters() -> tuple[int, int]:
+        stats = cache_stats()["injection-points"]
+        return stats["hits"], stats["misses"]
+
+    def test_second_scan_is_a_hit_and_computes_nothing(self):
+        operator, source = get_operator("negate_condition"), self.fresh_source()
+        hits, misses = self.counters()
+        first = operator.find_points(source)
+        assert self.counters() == (hits, misses + 1)
+        assert operator.find_points(source) == first and first
+        assert self.counters() == (hits + 1, misses + 1)
+
+    def test_every_call_returns_a_fresh_list(self):
+        operator, source = get_operator("negate_condition"), self.fresh_source()
+        expected = list(operator.find_points(source))
+        operator.find_points(source).clear()
+        assert operator.find_points(source) == expected
+
+    def test_a_changed_source_misses(self):
+        operator, source = get_operator("negate_condition"), self.fresh_source()
+        operator.find_points(source)
+        changed = source + "\n\ndef other(ready):\n    if ready:\n        return 2\n    return 0\n"
+        hits, misses = self.counters()
+        points = operator.find_points(changed)
+        assert self.counters() == (hits, misses + 1)
+        assert {point.function for point in points} == {source[4:source.index("(")], "other"}
+
+
 class TestFaultLoad:
     def test_fluent_construction(self):
         load = FaultLoad().add("raise_timeout", "process_*").add("negate_condition")
@@ -135,16 +174,6 @@ class TestProgrammableInjector:
         # so asking the injector for one must fail loudly rather than silently.
         with pytest.raises(NoInjectionPointError):
             injector.inject_fault_type("def f():\n    return 1\n", FaultType.DEADLOCK)
-
-    def test_exhaustive_mutants_all_differ_from_original(self, sample_module):
-        injector = ProgrammableInjector()
-        mutants = injector.exhaustive_mutants(sample_module, max_mutants=25)
-        assert len(mutants) == 25
-        assert all(mutant.patch.mutated != sample_module for mutant in mutants)
-
-    def test_exhaustive_mutants_respects_budget(self, sample_module):
-        injector = ProgrammableInjector()
-        assert len(injector.exhaustive_mutants(sample_module, max_mutants=5)) == 5
 
     def test_plans_are_deterministic_for_a_seed(self, sample_module):
         load = FaultLoad().add("wrong_argument", "*", max_points=3)

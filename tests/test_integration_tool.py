@@ -147,6 +147,23 @@ class TestFailureClassifier:
         )
         assert classification.failure_mode is FailureMode.DEGRADED
 
+    def test_slowdown_just_under_two_tenths_of_a_second_is_degraded(self):
+        # A delay fault that sleeps 0.2 s in total must not hinge on timer jitter.
+        observation = RunObservation(
+            result=TargetRunResult(target="t", completed=True, duration_seconds=0.003 + 0.2 - 0.005,
+                                   metrics={"detected_errors": 2}, detected_errors=2)
+        )
+        classification = FailureClassifier().classify(observation, self.make_baseline(duration=0.003))
+        assert classification.failure_mode is FailureMode.DEGRADED
+
+    def test_slowdown_of_a_tenth_of_a_second_is_no_failure(self):
+        observation = RunObservation(
+            result=TargetRunResult(target="t", completed=True, duration_seconds=0.003 + 0.105 + 0.005,
+                                   metrics={"detected_errors": 2}, detected_errors=2)
+        )
+        classification = FailureClassifier().classify(observation, self.make_baseline(duration=0.003))
+        assert classification.failure_mode is FailureMode.NO_FAILURE
+
     def test_benign_run_is_no_failure_and_not_activated(self):
         observation = RunObservation(
             result=TargetRunResult(target="t", completed=True, duration_seconds=0.05,

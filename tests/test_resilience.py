@@ -484,6 +484,20 @@ class TestEngineResilience:
             assert response.status == "error"
             assert response.error.kind == "unavailable"
 
+    def test_campaign_without_mode_consults_the_breaker_of_its_own_plane(self):
+        from repro.api import CampaignRequest
+
+        with FaultInjectionEngine(self._config()) as engine:
+            # A campaign without ``mode`` runs on the default (in-process) plane,
+            # so an open subprocess breaker must not turn it away.
+            breaker = engine._breakers.get("bank", "subprocess")
+            for _ in range(breaker.failure_threshold):
+                breaker.record_failure()
+            response = engine.run(
+                CampaignRequest(target="bank", scenarios=(DESCRIPTION,), techniques=("neural",))
+            )
+            assert response.status == "ok", response.error
+
     def test_queued_deadline_surfaces_as_a_timeout_envelope(self):
         with FaultInjectionEngine(self._config()) as engine:
             blocker = engine.submit(
