@@ -1,10 +1,11 @@
 """Sandboxed execution of target workloads against (mutated) module sources.
 
-Three execution modes are provided:
+Four execution modes are provided:
 
 * ``subprocess`` (default for one-off campaigns) — the workload runs in a
-  separate Python process with a hard timeout, so injected hangs, deadlocks,
-  and infinite loops are observed as timeouts rather than wedging the harness;
+  separate, site-free Python process with a hard timeout, so injected hangs,
+  deadlocks, and infinite loops are observed as timeouts rather than wedging
+  the harness;
 * ``pool`` — the workload runs on a persistent sandbox worker from
   :class:`repro.execution.WorkerPool`; workers import the library once and
   serve many runs, eliminating the per-fault interpreter start + import cost
@@ -46,17 +47,29 @@ from ..errors import SandboxError
 from ..execution import SandboxSlots, WorkerPool, resolve_workers
 from ..targets import TargetRunResult, get_target
 
+#: The directory holding this ``repro`` package: the sandbox child imports
+#: the server's own copy from it, whatever its environment says.
+_PACKAGE_ROOT = str(Path(__file__).resolve().parents[2])
+
+#: The ``subprocess`` sandbox child, run as ``python -S -c _DRIVER``.  ``-S``
+#: skips ``site`` (site-packages, ``.pth`` files, ``sitecustomize``), which
+#: the workload never needs.  The result goes to a file, not to stdout, so
+#: whatever the mutant prints cannot corrupt it.
 _DRIVER = """
-import json
 import sys
+
+package_root, target_name, module_path, iterations, seed, result_path = sys.argv[1:]
+sys.path.insert(0, package_root)
+
+import json
 
 from repro.targets import get_target
 
-target = get_target(sys.argv[1])
-with open(sys.argv[2], "r") as handle:
+with open(module_path, "r") as handle:
     source = handle.read()
-result = target.execute(source=source, iterations=int(sys.argv[3]), seed=int(sys.argv[4]))
-sys.stdout.write(json.dumps(result.to_dict()))
+result = get_target(target_name).execute(source=source, iterations=int(iterations), seed=int(seed))
+with open(result_path, "w") as handle:
+    json.dump(result.to_dict(), handle)
 """
 
 _MODES = ("subprocess", "inprocess", "pool", "distributed")
@@ -326,15 +339,19 @@ class SandboxRunner:
         timeout_seconds: float | None = None,
     ) -> RunObservation:
         module_path = self._scratch_file()
+        result_path = module_path.with_suffix(".json")
         module_path.write_text(module_source)
         command = [
             sys.executable,
+            "-S",
             "-c",
             _DRIVER,
+            _PACKAGE_ROOT,
             target_name,
             str(module_path),
             str(iterations),
             str(seed),
+            str(result_path),
         ]
         try:
             with self._claim(1):
@@ -345,6 +362,24 @@ class SandboxRunner:
                     text=True,
                     check=False,
                 )
+            stdout = completed.stdout or ""
+            stderr = completed.stderr or ""
+            if completed.returncode != 0:
+                return RunObservation(
+                    result=None,
+                    harness_error=f"workload process exited with status {completed.returncode}",
+                    stdout=stdout,
+                    stderr=stderr,
+                )
+            try:
+                payload = json.loads(result_path.read_text())
+            except (OSError, ValueError) as exc:
+                return RunObservation(
+                    result=None,
+                    harness_error=f"could not parse workload output: {exc}",
+                    stdout=stdout,
+                    stderr=stderr,
+                )
         except subprocess.TimeoutExpired as exc:
             return RunObservation(
                 result=None,
@@ -354,24 +389,7 @@ class SandboxRunner:
             )
         finally:
             module_path.unlink(missing_ok=True)
-        stdout = completed.stdout or ""
-        stderr = completed.stderr or ""
-        if completed.returncode != 0:
-            return RunObservation(
-                result=None,
-                harness_error=f"workload process exited with status {completed.returncode}",
-                stdout=stdout,
-                stderr=stderr,
-            )
-        try:
-            payload = json.loads(stdout.strip().splitlines()[-1])
-        except (ValueError, IndexError) as exc:
-            return RunObservation(
-                result=None,
-                harness_error=f"could not parse workload output: {exc}",
-                stdout=stdout,
-                stderr=stderr,
-            )
+            result_path.unlink(missing_ok=True)
         return RunObservation(result=self._result_from_payload(payload), stdout=stdout, stderr=stderr)
 
     def _run_pooled(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import types
 from typing import Any
 
-from ..rng import SeededRNG
+from ..rng import WorkloadRNG
 from .base import TargetSystem
 
 _SOURCE = '''
@@ -131,7 +131,7 @@ class BankTarget(TargetSystem):
     def _build_source(self) -> str:
         return _SOURCE
 
-    def run_workload(self, module: types.ModuleType, iterations: int, rng: SeededRNG) -> dict[str, Any]:
+    def run_workload(self, module: types.ModuleType, iterations: int, rng: WorkloadRNG) -> dict[str, Any]:
         module.reset_bank(dict(self._ACCOUNTS))
         accounts = sorted(self._ACCOUNTS)
         detected_errors = 0

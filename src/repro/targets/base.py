@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..errors import TargetError
-from ..rng import SeededRNG
+from ..rng import WorkloadRNG
 
 
 @dataclass
@@ -98,13 +98,14 @@ class TargetSystem(ABC):
         """
 
     @abstractmethod
-    def run_workload(self, module: types.ModuleType, iterations: int, rng: SeededRNG) -> dict[str, Any]:
+    def run_workload(self, module: types.ModuleType, iterations: int, rng: WorkloadRNG) -> dict[str, Any]:
         """Exercise the module's public API and return workload metrics.
 
         Implementations must catch *expected* application errors (invalid
         input, declined transactions, ...) and count them under the
         ``"detected_errors"`` key; unexpected exceptions should propagate so
-        the harness can classify the run as a crash.
+        the harness can classify the run as a crash.  ``rng`` offers only
+        ``randint`` and ``choice``, which keeps the sandbox free of numpy.
         """
 
     @abstractmethod
@@ -139,7 +140,7 @@ class TargetSystem(ABC):
         seed: int = 0,
     ) -> TargetRunResult:
         """Load, drive, and check one version of the target module."""
-        rng = SeededRNG(seed, namespace=f"workload/{self.name}")
+        rng = WorkloadRNG(seed, namespace=f"workload/{self.name}")
         started = time.perf_counter()
         try:
             module = self.load_module(source)

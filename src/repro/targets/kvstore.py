@@ -5,7 +5,7 @@ from __future__ import annotations
 import types
 from typing import Any
 
-from ..rng import SeededRNG
+from ..rng import WorkloadRNG
 from .base import TargetSystem
 
 _SOURCE = '''
@@ -132,7 +132,7 @@ class KVStoreTarget(TargetSystem):
     def _build_source(self) -> str:
         return _SOURCE
 
-    def run_workload(self, module: types.ModuleType, iterations: int, rng: SeededRNG) -> dict[str, Any]:
+    def run_workload(self, module: types.ModuleType, iterations: int, rng: WorkloadRNG) -> dict[str, Any]:
         module.reset_store()
         shadow: dict[str, int] = {}
         detected_errors = 0

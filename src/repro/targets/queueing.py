@@ -5,7 +5,7 @@ from __future__ import annotations
 import types
 from typing import Any
 
-from ..rng import SeededRNG
+from ..rng import WorkloadRNG
 from .base import TargetSystem
 
 _SOURCE = '''
@@ -128,7 +128,7 @@ class QueueTarget(TargetSystem):
     def _build_source(self) -> str:
         return _SOURCE
 
-    def run_workload(self, module: types.ModuleType, iterations: int, rng: SeededRNG) -> dict[str, Any]:
+    def run_workload(self, module: types.ModuleType, iterations: int, rng: WorkloadRNG) -> dict[str, Any]:
         module.reset_broker(list(self._TOPICS))
         detected_errors = 0
         published = 0

@@ -4,6 +4,7 @@ and the batched NLP extraction stage."""
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import threading
 import time
@@ -148,6 +149,7 @@ class TestSandboxSlots:
     def test_concurrent_groups_share_max_workers(self, monkeypatch, mode):
         live = peak = 0
         lock = threading.Lock()
+        engine = None
 
         def counted(runs: int, call):
             nonlocal live, peak
@@ -163,9 +165,21 @@ class TestSandboxSlots:
 
         if mode == "subprocess":
             real_run = subprocess.run
-            monkeypatch.setattr(
-                subprocess, "run", lambda *args, **kwargs: counted(1, lambda: real_run(*args, **kwargs))
-            )
+
+            def run(command, *args, **kwargs):
+                # Count only this engine's sandbox children, whose module file
+                # ([python, -S, -c, driver, package root, target, module, ...])
+                # sits in the scratch directory of one of its runners; a driver
+                # run left over from an earlier test's engine is not ours.
+                if engine is None or not isinstance(command, list) or len(command) <= 6:
+                    return real_run(command, *args, **kwargs)
+                runners = [experiment._runner for experiment in list(engine._experiment_runners.values())]
+                ours = {runner._scratch.name for runner in runners if runner._scratch is not None}
+                if os.path.dirname(command[6]) not in ours:
+                    return real_run(command, *args, **kwargs)
+                return counted(1, lambda: real_run(command, *args, **kwargs))
+
+            monkeypatch.setattr(subprocess, "run", run)
         else:
             real_batch = WorkerPool.run_batch
 
@@ -189,9 +203,10 @@ class TestSandboxSlots:
             with engine._scheduler.held():  # one dispatch: two groups of two
                 handles = [engine.submit(request) for request in requests]
             responses = [handle.result(timeout=120) for handle in handles]
-            assert engine.sandbox_slots.in_use == 0
+            in_use = engine.sandbox_slots.in_use
+            assert in_use == 0, f"sandbox_slots.in_use={in_use} after every response (peak={peak})"
         assert [response.status for response in responses] == ["ok"] * 4
-        assert 1 <= peak <= 2
+        assert 1 <= peak <= 2, f"peak={peak} concurrent sandbox runs (sandbox_slots.in_use={in_use})"
 
 
 class TestCloseFromCallbacks:

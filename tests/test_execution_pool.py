@@ -26,8 +26,10 @@ from repro.targets import get_target
 HANG_ON_LOAD = "import time\ntime.sleep(60)\n"
 #: Kills the hosting process outright while the module loads.
 EXIT_ON_LOAD = "import os\nos._exit(7)\n"
-#: Exits cleanly before the driver can emit its JSON payload.
+#: Exits cleanly before the driver can write its result file.
 SILENT_EXIT_ON_LOAD = "import os\nos._exit(0)\n"
+#: Leaves stdout without a trailing newline when the module loads.
+UNTERMINATED_WRITE_ON_LOAD = "import sys\nsys.stdout.write('x')\n"
 
 
 @pytest.fixture()
@@ -256,6 +258,19 @@ class TestSandboxRunnerObservationBranches:
         assert observation.result is None
         assert "could not parse workload output" in observation.harness_error
 
+    def test_subprocess_result_survives_the_mutants_stdout(self, runner, bank_source):
+        source = bank_source + UNTERMINATED_WRITE_ON_LOAD
+        observation = runner.run("bank", source, mode="subprocess")
+        assert observation.completed, observation.harness_error
+        assert observation.stdout == "x"
+        expected = runner.run("bank", source, mode="inprocess").result.to_dict()
+        assert {**observation.result.to_dict(), "duration_seconds": 0} == {**expected, "duration_seconds": 0}
+
+    def test_subprocess_runs_without_captured_output(self, bank_source):
+        with SandboxRunner(IntegrationConfig(capture_output=False, test_timeout_seconds=30)) as runner:
+            observation = runner.run("bank", bank_source, mode="subprocess")
+        assert observation.completed, observation.harness_error
+
     @pytest.mark.pool
     def test_pool_timeout_sets_timed_out(self, runner, bank_source):
         observation = runner.run("bank", bank_source + HANG_ON_LOAD, mode="pool")
@@ -271,8 +286,9 @@ class TestSandboxRunnerObservationBranches:
         assert first.name != second.name
         for _ in range(3):
             assert runner.run("bank", bank_source, mode="subprocess").completed
-        scratch = Path(runner._scratch.name)
-        assert list(scratch.glob("module_under_test_*.py")) == []
+        assert runner.run("bank", bank_source + SILENT_EXIT_ON_LOAD, mode="subprocess").harness_error
+        # Neither module files nor result files outlive their runs.
+        assert list(Path(runner._scratch.name).iterdir()) == []
 
 
 @pytest.mark.pool
