@@ -2,8 +2,9 @@
 
 One engine owns one shared component stack — NLP extractor (with its
 description-hash cache), code analyzer, prompt builder, generation model
-(policy + encoder/render caches), dataset generator, SFT trainer, and the
-per-target sandbox runners with their persistent worker pools — and exposes
+(policy + encoder/render caches), dataset generator, SFT trainer, and one
+sandbox runner with its persistent worker pools, which every target,
+campaign and dataset validation runs on — and exposes
 the paper's whole workflow behind a typed request/response API:
 
 * :meth:`submit` — enqueue a typed request, get a
@@ -37,7 +38,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from ..config import PipelineConfig
+from ..config import DatasetConfig, PipelineConfig
 from ..dataset import DatasetGenerator, FaultDataset
 from ..errors import (
     CircuitOpenError,
@@ -46,8 +47,7 @@ from ..errors import (
     ReproError,
     RequestError,
 )
-from ..execution import SandboxSlots
-from ..integration import ExperimentRecord, ExperimentRunner
+from ..integration import ExperimentRecord, ExperimentRunner, SandboxRunner
 from ..llm import FaultGenerator, GenerationCandidate, SFTReport, SFTTrainer
 from ..llm.decoder import Decoder
 from ..nlp import CodeAnalyzer, FaultSpecExtractor, GenerationPrompt, PromptBuilder
@@ -98,19 +98,15 @@ class FaultInjectionEngine:
         self.prompts = PromptBuilder()
         self.generator = FaultGenerator(self.config.model, rng=self._rng.fork("generator"))
         self.feedback_parser = FeedbackParser()
-        # Every sandbox runner the engine creates shares one cap on running
-        # workloads, so ``max_workers`` bounds the engine's live sandbox
-        # children however many threads drive sandbox runs at once.
-        self.sandbox_slots = SandboxSlots(self.config.execution.resolved_workers())
-        self.dataset_generator = DatasetGenerator(
-            self.config.dataset,
+        # Every sandbox run of the engine goes through this one runner: one
+        # pool per plane, and its slots keep ``max_workers`` a bound on live
+        # sandbox children however many threads drive sandbox runs at once.
+        self.sandbox_runner = SandboxRunner(
+            self.config.integration,
             execution=self.config.execution,
-            extractor=self.extractor,
-            analyzer=self.analyzer,
-            prompts=self.prompts,
             resilience=self.config.resilience,
-            slots=self.sandbox_slots,
         )
+        self.dataset_generator = self._dataset_generator(self.config.dataset)
         self._breakers = BreakerRegistry(self.config.resilience)
         self._retry = RetryPolicy.from_config(self.config.resilience)
         self.sft_trainer = SFTTrainer(self.generator, self.config.sft)
@@ -135,9 +131,8 @@ class FaultInjectionEngine:
         """Drain in-flight requests and release every owned resource.
 
         Queued requests still resolve (close is graceful); afterwards the
-        scheduler's dispatch and sandbox threads are stopped, the dataset
-        generator's validation runner and every per-target experiment runner
-        (worker pools, scratch dirs) are closed.  Idempotent; further
+        scheduler's dispatch and sandbox threads are stopped and the sandbox
+        runner (worker pools, scratch dir) is closed.  Idempotent; further
         :meth:`submit`/:meth:`run` calls raise
         :class:`~repro.errors.EngineClosedError`.  Called from a handle's
         done-callback — on the dispatch thread or a sandbox thread, which
@@ -153,11 +148,9 @@ class FaultInjectionEngine:
 
     def _drain_and_release(self) -> None:
         self._scheduler.close()
-        self.dataset_generator.close()
+        self.sandbox_runner.close()
         with self._lock:
-            runners, self._experiment_runners = self._experiment_runners, {}
-        for runner in runners.values():
-            runner.close()
+            self._experiment_runners.clear()
 
     @property
     def closed(self) -> bool:
@@ -249,40 +242,27 @@ class FaultInjectionEngine:
 
         Returns:
             An :class:`~repro.api.ExecutionStats` whose ``pools`` map each
+            plane the engine has used (``"pool"``, ``"distributed"``) to its
             pool's ``tasks_executed`` / ``pool_rebuilds`` / ``retries`` /
-            ``quarantined`` supervision counters (pools that have not run yet
-            are omitted), ``totals`` sums them, ``distributed`` aggregates
-            the distributed plane's ``workers`` / ``leases`` / ``requeues`` /
-            ``rebalances`` across runners, and ``breakers`` carries the
-            circuit-breaker snapshots.  The dataset generator's validation
-            pool reports under the reserved name ``"dataset"``.  Counters
-            accumulate across pool rebuilds, so every total is monotonic
-            within one engine lifetime (``workers`` is a gauge).
+            ``quarantined`` supervision counters, ``totals`` sums them,
+            ``distributed`` carries the distributed plane's ``workers`` /
+            ``leases`` / ``requeues`` / ``rebalances``, and ``breakers``
+            carries the circuit-breaker snapshots.  Every counter is
+            monotonic within one engine lifetime (``workers`` is a gauge).
         """
-        with self._lock:
-            runners = dict(self._experiment_runners)
-        pools: dict[str, dict[str, int]] = {}
-        totals = {"tasks_executed": 0, "pool_rebuilds": 0, "retries": 0, "quarantined": 0}
-        distributed = {"workers": 0, "leases": 0, "requeues": 0, "rebalances": 0}
-        sources: list[tuple[str, dict[str, int] | None]] = [
-            (name, runner.pool_stats()) for name, runner in sorted(runners.items())
-        ]
-        sources.append(("dataset", self.dataset_generator.pool_stats()))
-        for name, stats in sources:
-            if not stats:
-                continue
-            pools[name] = stats
-            for key in totals:
-                totals[key] += int(stats.get(key, 0))
-        for name, runner in sorted(runners.items()):
-            stats = runner.distributed_stats()
-            if not stats:
-                continue
-            pools[f"{name}:distributed"] = stats
-            for key in totals:
-                totals[key] += int(stats.get(key, 0))
-            for key in distributed:
-                distributed[key] += int(stats.get(key, 0))
+        planes = {
+            "pool": self.sandbox_runner.pool_stats(),
+            "distributed": self.sandbox_runner.distributed_stats(),
+        }
+        pools = {plane: stats for plane, stats in planes.items() if stats}
+        totals = {
+            key: sum(int(stats.get(key, 0)) for stats in pools.values())
+            for key in ("tasks_executed", "pool_rebuilds", "retries", "quarantined")
+        }
+        remote = pools.get("distributed", {})
+        distributed = {
+            key: int(remote.get(key, 0)) for key in ("workers", "leases", "requeues", "rebalances")
+        }
         return ExecutionStats(
             pools=pools,
             totals=totals,
@@ -294,7 +274,7 @@ class FaultInjectionEngine:
         """The :meth:`execution_snapshot` in its historical wire-dict shape.
 
         Returns:
-            ``{"pools": {target: counters}, "totals": counters,
+            ``{"pools": {plane: counters}, "totals": counters,
             "distributed": counters, "breakers": {key: breaker snapshot}}``
             — see :meth:`execution_snapshot` for the counter semantics.
         """
@@ -904,35 +884,23 @@ class FaultInjectionEngine:
             overrides["validate_candidates"] = request.validate_candidates
         generator = self.dataset_generator
         if overrides:
-            generator = DatasetGenerator(
-                replace(self.config.dataset, **overrides),
-                execution=self.config.execution,
-                extractor=self.extractor,
-                analyzer=self.analyzer,
-                prompts=self.prompts,
-                resilience=self.config.resilience,
-                slots=self.sandbox_slots,
-            )
+            generator = self._dataset_generator(replace(self.config.dataset, **overrides))
         targets = [get_target(name) for name in request.targets] or None
-        try:
-            if request.jsonl_path is not None:
-                path = generator.generate_to_jsonl(request.jsonl_path, targets)
-                swept = targets if targets is not None else all_targets()
-                records = sum(generator.stats.per_target.get(t.name, 0) for t in swept)
-                return DatasetPayload(
-                    records=records, stats=generator.stats.to_dict(), jsonl_path=str(path)
-                )
-            dataset = generator.generate(targets)
-            self.dataset = dataset
-            sft = None
-            if request.run_sft and len(dataset) > 0:
-                examples = generator.to_sft_examples(dataset)
-                self.sft_report = self.sft_trainer.train(examples)
-                sft = self.sft_report.to_dict()
-            return DatasetPayload(records=len(dataset), stats=generator.stats.to_dict(), sft=sft)
-        finally:
-            if generator is not self.dataset_generator:
-                generator.close()
+        if request.jsonl_path is not None:
+            path = generator.generate_to_jsonl(request.jsonl_path, targets)
+            swept = targets if targets is not None else all_targets()
+            records = sum(generator.stats.per_target.get(t.name, 0) for t in swept)
+            return DatasetPayload(
+                records=records, stats=generator.stats.to_dict(), jsonl_path=str(path)
+            )
+        dataset = generator.generate(targets)
+        self.dataset = dataset
+        sft = None
+        if request.run_sft and len(dataset) > 0:
+            examples = generator.to_sft_examples(dataset)
+            self.sft_report = self.sft_trainer.train(examples)
+            sft = self.sft_report.to_dict()
+        return DatasetPayload(records=len(dataset), stats=generator.stats.to_dict(), sft=sft)
 
     def _run_campaign(self, request: CampaignRequest) -> CampaignPayload:
         """Execute the comparison campaign for the requested techniques."""
@@ -1035,19 +1003,29 @@ class FaultInjectionEngine:
         )
 
     def _runner_for(self, target: TargetSystem | str) -> ExperimentRunner:
-        """The shared per-target experiment runner (created lazily)."""
+        """The per-target experiment runner on the engine's sandbox runner
+        (created lazily)."""
         target_system = get_target(target) if isinstance(target, str) else target
         with self._lock:
             if target_system.name not in self._experiment_runners:
                 self._experiment_runners[target_system.name] = ExperimentRunner(
                     target_system,
                     config=self.config.integration,
+                    runner=self.sandbox_runner,
                     seed=self.config.seed,
-                    execution=self.config.execution,
-                    resilience=self.config.resilience,
-                    slots=self.sandbox_slots,
                 )
             return self._experiment_runners[target_system.name]
+
+    def _dataset_generator(self, config: DatasetConfig) -> DatasetGenerator:
+        """A dataset generator on the engine's NLP stack and sandbox runner."""
+        return DatasetGenerator(
+            config,
+            execution=self.config.execution,
+            runner=self.sandbox_runner,
+            extractor=self.extractor,
+            analyzer=self.analyzer,
+            prompts=self.prompts,
+        )
 
     @staticmethod
     def _critique(

@@ -7,10 +7,20 @@ deep inside a training loop or an injection campaign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from typing import Any, Mapping
 
 from .errors import ConfigurationError
+
+
+def _from_mapping(klass: type, value: Any, section: str) -> Any:
+    """Build the ``klass`` config of one section, naming any unknown field."""
+    if not isinstance(value, Mapping):
+        raise ConfigurationError(f"{section} section must be a mapping")
+    unknown = sorted(set(value) - {item.name for item in fields(klass)})
+    if unknown:
+        raise ConfigurationError(f"unknown {section} field(s): {', '.join(map(str, unknown))}")
+    return klass(**value)
 
 
 @dataclass
@@ -120,7 +130,6 @@ class IntegrationConfig:
     test_timeout_seconds: float = 10.0
     workload_iterations: int = 25
     capture_output: bool = True
-    keep_workspaces: bool = False
 
     def __post_init__(self) -> None:
         if self.test_timeout_seconds <= 0:
@@ -208,7 +217,7 @@ class ExecutionConfig:
 
     def __post_init__(self) -> None:
         if isinstance(self.distributed, Mapping):
-            self.distributed = DistributedConfig(**self.distributed)
+            self.distributed = _from_mapping(DistributedConfig, self.distributed, "execution.distributed")
         if self.max_workers is not None and self.max_workers <= 0:
             raise ConfigurationError("max_workers must be positive when set")
         if self.batch_size <= 0:
@@ -342,7 +351,7 @@ class ResilienceConfig:
 
     def __post_init__(self) -> None:
         if isinstance(self.chaos, Mapping):
-            self.chaos = ChaosConfig(**self.chaos)
+            self.chaos = _from_mapping(ChaosConfig, self.chaos, "resilience.chaos")
         if self.task_retry_budget < 0:
             raise ConfigurationError("task_retry_budget must be non-negative")
         if self.quarantine_threshold <= 0:
@@ -561,12 +570,19 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "PipelineConfig":
-        """Build a configuration from a nested mapping (e.g. parsed JSON)."""
+        """Build a configuration from a nested mapping (e.g. parsed JSON).
+
+        Raises:
+            ConfigurationError: If a section is not a mapping, or if the data
+                or any section carries a field this configuration does not
+                have (the error names the section and the field).
+        """
+        unknown = sorted(set(data) - {item.name for item in fields(cls)})
+        if unknown:
+            raise ConfigurationError(f"unknown pipeline field(s): {', '.join(map(str, unknown))}")
+
         def build(klass, key):
-            value = data.get(key, {})
-            if not isinstance(value, Mapping):
-                raise ConfigurationError(f"{key} section must be a mapping")
-            return klass(**value)
+            return _from_mapping(klass, data.get(key, {}), key)
 
         return cls(
             model=build(ModelConfig, "model"),

@@ -8,9 +8,9 @@ comparison the paper promises as future validation (Section V).
 Fault *generation* runs as one batched forward pass per technique
 (:meth:`~repro.api.FaultInjectionEngine.generate_faults`); fault *execution* —
 the expensive sandbox runs — is submitted as one batch per technique through
-:meth:`~repro.integration.ExperimentRunner.run_many`, so independent
-experiments run concurrently while reports keep the deterministic,
-seed-stable ordering of the serial path.
+:meth:`~repro.integration.ExperimentRunner.run_many` on the engine's
+per-target runner, so independent experiments run concurrently while reports
+keep the deterministic, seed-stable ordering of the serial path.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from ..eval import (
     effectiveness,
     neural_coverage,
 )
-from ..integration import CampaignReport, ExperimentRunner
+from ..integration import CampaignReport
 from ..targets import TargetSystem, get_target
 from ..types import CodeContext, FaultSpec
 from .pipeline import NeuralFaultInjector
@@ -94,7 +94,8 @@ class CampaignOrchestrator:
     A thin adapter over :class:`~repro.api.FaultInjectionEngine`: it accepts
     either an engine or the legacy :class:`NeuralFaultInjector` façade (whose
     engine it unwraps), and drives campaigns through the engine's shared
-    stack — NLP caches, batched generation, and pooled per-target runners.
+    stack — NLP caches, batched generation, and the per-target runner on
+    the engine's one sandbox runner, which the baselines share too.
     :class:`~repro.api.CampaignRequest` submitted to an engine routes here.
     """
 
@@ -108,7 +109,6 @@ class CampaignOrchestrator:
         self.target = get_target(target) if isinstance(target, str) else target
         self.mode = mode if mode is not None else pipeline.config.execution.default_mode
         self._effort_model = ManualEffortModel()
-        self._baseline_runner_cache: ExperimentRunner | None = None
 
     @property
     def engine(self) -> FaultInjectionEngine:
@@ -174,7 +174,7 @@ class CampaignOrchestrator:
         defined = defined if defined is not None else self.define_scenarios(scenarios)
         specs = [spec for spec, _context in defined]
         plan = injector.plan(source, budget=budget or len(scenarios) * 2)
-        batch = self._baseline_runner().run_many(plan.faults, mode=self.mode)
+        batch = self.pipeline._runner_for(self.target).run_many(plan.faults, mode=self.mode)
         campaign = CampaignReport(name=f"predefined-{self.target.name}")
         campaign.add_batch(batch)
         coverage = baseline_coverage(specs, injector.can_express, PREDEFINED_FAULT_TYPES, technique="predefined-model")
@@ -202,7 +202,7 @@ class CampaignOrchestrator:
         defined = defined if defined is not None else self.define_scenarios(scenarios)
         specs = [spec for spec, _context in defined]
         plan = injector.plan(source, budget=budget or len(scenarios) * 2)
-        batch = self._baseline_runner().run_many(plan.faults, mode=self.mode)
+        batch = self.pipeline._runner_for(self.target).run_many(plan.faults, mode=self.mode)
         campaign = CampaignReport(name=f"random-{self.target.name}")
         campaign.add_batch(batch)
         coverage = baseline_coverage(specs, injector.can_express, set(), technique="random")
@@ -240,18 +240,3 @@ class CampaignOrchestrator:
         specs = [spec for spec, _context in defined]
         expressible = sum(1 for spec in specs if injector.can_express(spec)) / len(specs) if specs else 0.0
         return compare_effort(len(scenarios), expressible_fraction=expressible).to_dict()
-
-    # -- internals ----------------------------------------------------------------------
-
-    def _baseline_runner(self) -> ExperimentRunner:
-        """One shared runner for the baseline techniques, so pool-mode campaigns
-        reuse a single worker pool and scratch directory across techniques."""
-        if self._baseline_runner_cache is None:
-            self._baseline_runner_cache = ExperimentRunner(
-                self.target,
-                config=self.pipeline.config.integration,
-                seed=self.pipeline.config.seed,
-                execution=self.pipeline.config.execution,
-                slots=self.pipeline.sandbox_slots,
-            )
-        return self._baseline_runner_cache

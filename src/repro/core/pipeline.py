@@ -4,7 +4,7 @@
 As of the service-layer redesign it is a **thin adapter** over
 :class:`~repro.api.FaultInjectionEngine`: the engine owns the shared component
 stack (NLP extractor and its caches, generation model, dataset generator,
-sandbox runners), and every method here simply delegates.  The class is kept —
+sandbox runner), and every method here simply delegates.  The class is kept —
 fully tested — for backwards compatibility and for scripts that want the
 imperative stage-by-stage workflow:
 
@@ -29,7 +29,6 @@ from __future__ import annotations
 from ..api.engine import FaultInjectionEngine, FeedbackProvider
 from ..config import PipelineConfig
 from ..dataset import DatasetGenerator, FaultDataset
-from ..execution import SandboxSlots
 from ..integration import ExperimentRecord, ExperimentRunner
 from ..llm import FaultGenerator, GenerationCandidate, SFTReport, SFTTrainer
 from ..nlp import CodeAnalyzer, FaultSpecExtractor, GenerationPrompt, PromptBuilder
@@ -79,11 +78,6 @@ class NeuralFaultInjector:
     def generator(self) -> FaultGenerator:
         """The engine's shared generation model."""
         return self.engine.generator
-
-    @property
-    def sandbox_slots(self) -> SandboxSlots:
-        """The engine's cap on running sandbox workloads."""
-        return self.engine.sandbox_slots
 
     @property
     def feedback_parser(self) -> FeedbackParser:

@@ -24,9 +24,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from ..config import DatasetConfig, ExecutionConfig, IntegrationConfig, ResilienceConfig
+from ..config import DatasetConfig, ExecutionConfig
 from ..errors import DatasetError
-from ..execution import SandboxSlots
 from ..injection import ProgrammableInjector, ast_utils
 from ..injection.operators import AppliedFault
 from ..llm.decisions import DecisionVector, reference_decisions
@@ -71,9 +70,10 @@ class GenerationStats:
 class DatasetGenerator:
     """Builds fine-tuning datasets by injecting faults into the target systems.
 
-    The generator owns (or borrows) a :class:`SandboxRunner` for candidate
-    validation; close it with :meth:`close` or use the generator as a context
-    manager when ``validate_candidates`` is enabled with ``pool`` execution.
+    The generator borrows a :class:`SandboxRunner` for candidate validation
+    (an engine passes its own) or creates one lazily; close an owned one with
+    :meth:`close` or use the generator as a context manager when
+    ``validate_candidates`` is enabled with ``pool`` execution.
     """
 
     def __init__(
@@ -86,8 +86,6 @@ class DatasetGenerator:
         extractor: FaultSpecExtractor | None = None,
         analyzer: CodeAnalyzer | None = None,
         prompts: PromptBuilder | None = None,
-        resilience: ResilienceConfig | None = None,
-        slots: SandboxSlots | None = None,
     ) -> None:
         """Initialise the generator.
 
@@ -104,13 +102,7 @@ class DatasetGenerator:
                 own so dataset sweeps warm (and profit from) the same
                 description-hash cache serving traffic uses.
             analyzer: A shared code analyzer (same sharing rationale).
-            resilience: Supervision/chaos behaviour of the lazily-created
-                validation runner; defaults to
-                :class:`~repro.config.ResilienceConfig`.
             prompts: A shared prompt builder (same sharing rationale).
-            slots: A cap on running sandbox workloads that the
-                lazily-created validation runner shares with the engine's
-                other runners.
         """
         self._config = config or DatasetConfig()
         self._rng = SeededRNG(self._config.seed, namespace="dataset")
@@ -120,16 +112,9 @@ class DatasetGenerator:
         self._analyzer = analyzer or CodeAnalyzer()
         self._prompts = prompts or PromptBuilder()
         self._execution = execution or ExecutionConfig()
-        self._resilience = resilience or ResilienceConfig()
         self._runner = runner
         self._owns_runner = False
-        self._slots = slots
         self.stats = GenerationStats()
-
-    def pool_stats(self) -> dict[str, int] | None:
-        """Supervision counters of the validation runner's pool (``None`` before use)."""
-        stats = getattr(self._runner, "pool_stats", None)
-        return stats() if callable(stats) else None
 
     def close(self) -> None:
         """Release the validation runner if this generator created it (idempotent)."""
@@ -263,8 +248,8 @@ class DatasetGenerator:
         loop control (not just the ones named ``infinite_loop``) can produce
         an unbounded loop, and in-process execution has no timeout.  An
         ``inprocess`` execution config is therefore promoted to
-        ``subprocess``; ``pool`` and ``subprocess`` already enforce
-        ``validation_timeout_seconds`` per candidate.
+        ``subprocess``; the other modes enforce ``validation_timeout_seconds``
+        per candidate.
         """
         mode = self._execution.default_mode
         return "subprocess" if mode == "inprocess" else mode
@@ -275,7 +260,8 @@ class DatasetGenerator:
         A candidate is kept unless its mutated module failed to load (or the
         harness itself failed), which is deterministic across execution modes;
         workload crashes and timeouts are *faults doing their job* and stay in
-        the dataset.
+        the dataset.  The batch runs under ``validation_timeout_seconds``,
+        whatever the runner's own test timeout.
         """
         if not candidates:
             return []
@@ -286,6 +272,7 @@ class DatasetGenerator:
             seed=self._config.seed,
             iterations=self._config.validation_iterations,
             mode=mode,
+            timeout_seconds=self._config.validation_timeout_seconds,
         )
         if len(observations) > 1 and all(
             observation.harness_error is not None for observation in observations
@@ -331,19 +318,11 @@ class DatasetGenerator:
         return True
 
     def _ensure_runner(self):
-        """The shared sandbox runner, created lazily for validation."""
+        """The validation sandbox runner: the borrowed one, or one created lazily."""
         if self._runner is None:
             from ..integration.runner import SandboxRunner
 
-            self._runner = SandboxRunner(
-                IntegrationConfig(
-                    test_timeout_seconds=self._config.validation_timeout_seconds,
-                    workload_iterations=self._config.validation_iterations,
-                ),
-                execution=self._execution,
-                resilience=self._resilience,
-                slots=self._slots,
-            )
+            self._runner = SandboxRunner(execution=self._execution)
             self._owns_runner = True
         return self._runner
 

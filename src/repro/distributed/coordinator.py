@@ -80,13 +80,16 @@ class _WorkerLink:
 
 
 class _Lease:
-    """One in-flight batch of task indices assigned to one worker."""
+    """Task indices of one batch assigned to one worker."""
 
-    __slots__ = ("lease_id", "link", "indices", "deadline")
+    __slots__ = ("lease_id", "link", "batch", "indices", "deadline")
 
-    def __init__(self, lease_id: int, link: _WorkerLink, indices: list[int], deadline: float) -> None:
+    def __init__(
+        self, lease_id: int, link: _WorkerLink, batch: SupervisedBatch, indices: list[int], deadline: float
+    ) -> None:
         self.lease_id = lease_id
         self.link = link
+        self.batch = batch
         self.indices = indices
         self.deadline = deadline
 
@@ -101,7 +104,10 @@ class DistributedPool:
     in before, during, or between batches.  With
     ``DistributedConfig.spawn_workers`` (the default) the first batch also
     spawns a localhost fleet sized from ``max_workers``, which is what makes
-    ``mode="distributed"`` a drop-in replacement on one box.
+    ``mode="distributed"`` a drop-in replacement on one box.  Several
+    threads may run batches at once: each lease carries its batch, and idle
+    workers go to whichever batch plans next, so a hung task holds only the
+    worker running it.
     """
 
     def __init__(
@@ -143,10 +149,10 @@ class DistributedPool:
 
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
-        self._batch_lock = threading.Lock()
+        self._fleet_lock = threading.Lock()
         self._workers: dict[str, _WorkerLink] = {}
         self._active_leases: dict[int, _Lease] = {}
-        self._batch: SupervisedBatch | None = None
+        self._active_batches = 0
         self._last_activity = time.monotonic()  # the starvation clock
         self._lease_ids = itertools.count(1)
         self._closed = False
@@ -289,16 +295,17 @@ class DistributedPool:
             target_name, module_sources, seed, iterations, timeout,
             self.resilience, plane="distributed", tally=self._tally_locked,
         )
-        with self._batch_lock:
+        with self._fleet_lock:
             self._ensure_fleet()
+        with self._lock:
+            self._active_batches += 1
+            self._last_activity = time.monotonic()
+        try:
+            self._drive(batch, timeout)
+        finally:
             with self._lock:
-                self._batch = batch
-                self._last_activity = time.monotonic()
-            try:
-                self._drive(batch, timeout)
-            finally:
-                with self._lock:
-                    self._batch = None
+                self._active_batches -= 1
+        with self._lock:
             self.tasks_executed += len(module_sources)
         return batch.payloads()
 
@@ -335,8 +342,6 @@ class DistributedPool:
         assignments: list[tuple[_WorkerLink, _Lease]] = []
         lease_cap = self.distributed.lease_size
         with self._lock:
-            if self._batch is not batch:
-                return []
             for link in sorted(self._workers.values(), key=lambda l: l.worker_id):
                 if link.lease is not None or not link.alive or not link.ready:
                     continue
@@ -344,7 +349,7 @@ class DistributedPool:
                 if not indices:
                     continue
                 deadline = time.monotonic() + timeout * len(indices) + _LEASE_GRACE_SECONDS
-                lease = _Lease(next(self._lease_ids), link, indices, deadline)
+                lease = _Lease(next(self._lease_ids), link, batch, indices, deadline)
                 link.lease = lease
                 self._active_leases[lease.lease_id] = lease
                 self.leases_issued += 1
@@ -479,7 +484,7 @@ class DistributedPool:
             if self._closed or self._workers.get(worker_id) is not link:
                 return None
             link.ready = True
-            if self._batch is not None:
+            if self._active_batches:
                 self.rebalances += 1
                 self._last_activity = time.monotonic()
             self._wake.notify_all()
@@ -508,18 +513,15 @@ class DistributedPool:
                 return
             if link.lease is lease:
                 link.lease = None
-            batch = self._batch
-            if batch is None:
-                return
             self._last_activity = time.monotonic()
             for index in lease.indices:
                 payload = frame.results.get(str(index))
                 if payload is not None:
-                    batch.resolve(index, dict(payload))
+                    lease.batch.resolve(index, dict(payload))
                 else:
                     # Computed-then-lost (a chaos drop): requeue without
                     # charging a worker death.
-                    batch.vanished(index)
+                    lease.batch.vanished(index)
             self._wake.notify_all()
 
     def _worker_lost(self, link: _WorkerLink, reason: str) -> None:
@@ -532,16 +534,15 @@ class DistributedPool:
             lease, link.lease = link.lease, None
             if lease is not None:
                 self._active_leases.pop(lease.lease_id, None)
-            batch = self._batch
-            if batch is not None:
+            if self._active_batches:
                 self.rebalances += 1
                 self._last_activity = time.monotonic()
-                if lease is not None and batch.unresolved(lease.indices):
-                    self.requeues += 1
-                    # A solo lease makes the death attributable to its one
-                    # task; a grouped lease only yields suspects.
-                    for index in lease.indices:
-                        batch.died(index, alone=len(lease.indices) == 1)
+            if lease is not None and lease.batch.unresolved(lease.indices):
+                self.requeues += 1
+                # A solo lease makes the death attributable to its one
+                # task; a grouped lease only yields suspects.
+                for index in lease.indices:
+                    lease.batch.died(index, alone=len(lease.indices) == 1)
             self._wake.notify_all()
         try:
             link.sock.close()

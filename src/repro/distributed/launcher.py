@@ -133,10 +133,6 @@ class LocalWorkerFleet:
             start_new_session=True,
         )
 
-    def alive_count(self) -> int:
-        """Workers currently running (does not respawn)."""
-        return sum(1 for process in self._processes if process.poll() is None)
-
     def maintain(self) -> int:
         """Reap dead workers and respawn replacements.
 

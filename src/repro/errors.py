@@ -69,10 +69,6 @@ class NoInjectionPointError(InjectionError):
     """No suitable location exists in the target code for the requested fault."""
 
 
-class PatchError(ReproError):
-    """A patch could not be applied to or reverted from the target source."""
-
-
 class IntegrationError(ReproError):
     """Generated faulty code could not be integrated into the codebase."""
 
@@ -132,7 +128,3 @@ class AdmissionError(ReproError):
     Surfaces as ``ErrorInfo(kind="overloaded")`` / HTTP 429 with a
     ``Retry-After`` hint; the request never reached the engine.
     """
-
-
-class QuarantineError(ReproError):
-    """A poison task was quarantined after repeatedly killing pool workers."""

@@ -7,8 +7,8 @@ Components:
 * :class:`HashKeyedCache` / :func:`cache_stats` — hash-keyed memoization used
   by AST parsing, code analysis, and target source construction;
 * :func:`resolve_workers` / :func:`worker_cap` — CPU-derived pool sizing;
-* :class:`SandboxSlots` — a cap on running sandbox workloads shared by
-  every runner of one engine.
+* :class:`SandboxSlots` — a sandbox runner's cap on running sandbox
+  workloads, shared by every thread that drives the runner.
 """
 
 from .cache import CacheStats, HashKeyedCache, cache_stats, clear_all_caches, get_cache

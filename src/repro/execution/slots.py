@@ -1,12 +1,13 @@
-"""An engine-wide cap on concurrently running sandbox workloads.
+"""A cap on concurrently running sandbox workloads.
 
-One :class:`~repro.api.FaultInjectionEngine` drives sandbox runs from
-several threads at once: its sandbox threads (one execution group each) and
-the dispatch thread (campaigns, dataset validation, RLHF scoring).  Each of
-those calls may fan out to ``ExecutionConfig.resolved_workers()`` children,
-so without a shared cap their product — not ``max_workers`` — would bound
-the number of live sandbox processes.  :class:`SandboxSlots` is that shared
-cap: every out-of-process sandbox run (a subprocess, or a task on a pool
+Each :class:`~repro.integration.SandboxRunner` owns one, sized
+``ExecutionConfig.resolved_workers()``.  One runner may be driven from
+several threads at once: an engine's sandbox threads (one execution group
+each) and its dispatch thread (campaigns, dataset validation, RLHF scoring)
+all run on the engine's runner.  Each of those calls may fan out to
+``resolved_workers()`` children, so without a shared cap their product —
+not ``max_workers`` — would bound the number of live sandbox processes.
+Every out-of-process sandbox run (a subprocess, or a task on a local pool
 worker) holds one slot while it runs.
 """
 
@@ -18,7 +19,7 @@ from typing import Iterator
 
 
 class SandboxSlots:
-    """A counting limit on sandbox runs shared by several runners."""
+    """A counting limit on sandbox runs shared by several threads."""
 
     def __init__(self, slots: int) -> None:
         """Create ``slots`` free slots (at least one)."""

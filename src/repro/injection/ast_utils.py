@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import ast
 import copy
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from ..errors import CodeAnalysisError
 from ..execution.cache import get_cache
@@ -107,22 +107,6 @@ def function_source(source: str, name: str) -> str:
     return segment
 
 
-def replace_function(tree: ast.Module, replacement: FunctionNode) -> ast.Module:
-    """Return a copy of ``tree`` with the function of the same name replaced."""
-    new_tree = copy_tree(tree)
-    replaced = False
-    for node, _class_name in iter_functions(new_tree):
-        if node.name == replacement.name:
-            node.args = replacement.args
-            node.body = replacement.body
-            node.decorator_list = replacement.decorator_list
-            replaced = True
-            break
-    if not replaced:
-        new_tree.body.append(replacement)
-    return ast.fix_missing_locations(new_tree)
-
-
 def replace_function_source(module_source: str, function_name: str, new_function_source: str) -> str:
     """Replace one function definition inside a module with new source text.
 
@@ -160,26 +144,6 @@ def ensure_import(tree: ast.Module, module_name: str) -> ast.Module:
         insert_at = 1  # keep a module docstring first
     tree.body.insert(insert_at, import_node)
     return ast.fix_missing_locations(tree)
-
-
-def statement_nodes(function: FunctionNode) -> list[ast.stmt]:
-    """Flat list of every statement node nested anywhere inside a function."""
-    collected: list[ast.stmt] = []
-
-    def visit(statements: Iterable[ast.stmt]) -> None:
-        for statement in statements:
-            collected.append(statement)
-            for field_name in ("body", "orelse", "finalbody"):
-                nested = getattr(statement, field_name, None)
-                if nested:
-                    visit(nested)
-            handlers = getattr(statement, "handlers", None)
-            if handlers:
-                for handler in handlers:
-                    visit(handler.body)
-
-    visit(function.body)
-    return collected
 
 
 def iter_statement_slots(function: FunctionNode) -> Iterator[tuple[list[ast.stmt], int, ast.stmt]]:

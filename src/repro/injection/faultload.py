@@ -13,7 +13,7 @@ from __future__ import annotations
 import fnmatch
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 from ..errors import ConfigurationError
 from .operators import InjectionPoint, get_operator
@@ -118,7 +118,3 @@ class FaultLoad:
     @classmethod
     def from_json(cls, text: str) -> "FaultLoad":
         return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def from_entries(cls, entries: Iterable[FaultLoadEntry], name: str = "faultload") -> "FaultLoad":
-        return cls(entries=list(entries), name=name)

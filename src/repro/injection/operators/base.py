@@ -175,13 +175,3 @@ class FaultOperator(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r} fault_type={self.fault_type.value!r}>"
-
-
-def executable_statements(function: ast_utils.FunctionNode) -> list[tuple[int, ast.stmt]]:
-    """Top-level executable statements of a function body (skipping docstrings)."""
-    statements = []
-    for index, statement in enumerate(function.body):
-        if ast_utils.is_docstring(statement):
-            continue
-        statements.append((index, statement))
-    return statements

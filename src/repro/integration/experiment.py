@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from ..config import ExecutionConfig, IntegrationConfig, ResilienceConfig
+from ..config import ExecutionConfig, IntegrationConfig
 from ..errors import ExperimentError, IntegrationError
-from ..execution import SandboxSlots
 from ..injection.operators import AppliedFault
 from ..targets import TargetRunResult, TargetSystem, get_target
 from ..types import FailureMode, GeneratedFault, InjectionOutcome
@@ -65,7 +64,13 @@ class ExperimentBatch:
 
 
 class ExperimentRunner:
-    """Runs fault-injection experiments against one target system."""
+    """Runs fault-injection experiments against one target system.
+
+    ``runner`` is the :class:`SandboxRunner` to execute on (an engine shares
+    one across every target); without one, the experiment runner builds its
+    own from ``config`` and ``execution``.  Either way :attr:`execution` is
+    the execution config of the runner in use.
+    """
 
     def __init__(
         self,
@@ -76,29 +81,16 @@ class ExperimentRunner:
         workspaces: WorkspaceManager | None = None,
         seed: int = 0,
         execution: ExecutionConfig | None = None,
-        resilience: ResilienceConfig | None = None,
-        slots: SandboxSlots | None = None,
     ) -> None:
         self.target = get_target(target) if isinstance(target, str) else target
         self.config = config or IntegrationConfig()
-        self.execution = execution or ExecutionConfig()
-        self.resilience = resilience or ResilienceConfig()
         self._owns_runner = runner is None
-        self._runner = runner or SandboxRunner(
-            self.config, execution=self.execution, resilience=self.resilience, slots=slots
-        )
+        self._runner = runner or SandboxRunner(self.config, execution=execution)
+        self.execution = self._runner.execution
         self._classifier = classifier or FailureClassifier()
         self._integrator = FaultIntegrator(workspaces)
         self._seed = seed
         self._baseline: TargetRunResult | None = None
-
-    def pool_stats(self) -> dict[str, int] | None:
-        """Supervision counters of the sandbox runner's pool (``None`` before use)."""
-        return self._runner.pool_stats()
-
-    def distributed_stats(self) -> dict[str, int] | None:
-        """Counters of the sandbox runner's distributed pool (``None`` before use)."""
-        return self._runner.distributed_stats()
 
     def close(self) -> None:
         """Release the sandbox runner if this experiment runner created it.
@@ -149,7 +141,6 @@ class ExperimentRunner:
         self,
         faults: Sequence[GeneratedFault | AppliedFault],
         mode: str = "subprocess",
-        max_workers: int | None = None,
         batch_size: int | None = None,
         timeout_seconds: float | None = None,
     ) -> ExperimentBatch:
@@ -169,7 +160,6 @@ class ExperimentRunner:
             faults: Generated and/or operator-applied faults to execute.
             mode: Requested execution mode; hang-prone faults are promoted
                 from ``inprocess`` to ``subprocess`` automatically.
-            max_workers: Per-call worker override (capped by the CPU count).
             batch_size: Chunk size for the integrate-and-execute pipeline;
                 defaults to ``ExecutionConfig.batch_size``.
             timeout_seconds: Per-call sandbox timeout override, used to clamp
@@ -188,9 +178,7 @@ class ExperimentRunner:
         batch = ExperimentBatch(target_name=self.target.name)
         for start in range(0, len(faults), chunk_size):
             batch.records.extend(
-                self._run_chunk(
-                    faults[start : start + chunk_size], mode, max_workers, chunk_size, timeout_seconds
-                )
+                self._run_chunk(faults[start : start + chunk_size], mode, chunk_size, timeout_seconds)
             )
         return batch
 
@@ -198,7 +186,6 @@ class ExperimentRunner:
         self,
         faults: list[GeneratedFault | AppliedFault],
         mode: str,
-        max_workers: int | None,
         chunk_size: int,
         timeout_seconds: float | None = None,
     ) -> list[ExperimentRecord]:
@@ -236,7 +223,6 @@ class ExperimentRunner:
                 seed=self._seed,
                 iterations=self.config.workload_iterations,
                 mode=effective_mode,
-                max_workers=max_workers,
                 batch_size=chunk_size,
                 timeout_seconds=timeout_seconds,
             )
@@ -246,11 +232,6 @@ class ExperimentRunner:
                 )
 
         return [record for record in records if record is not None]
-
-    def run_batch_generated(
-        self, faults: Iterable[GeneratedFault], mode: str = "subprocess"
-    ) -> ExperimentBatch:
-        return self.run_many(list(faults), mode=mode)
 
     def run_batch_applied(
         self, faults: Iterable[AppliedFault], mode: str = "subprocess"

@@ -59,15 +59,6 @@ class CampaignReport:
             distribution[outcome.failure_mode.value] += 1
         return distribution
 
-    def failure_mode_distribution_by_target(self) -> dict[str, dict[str, int]]:
-        return {
-            target: {
-                mode.value: sum(1 for outcome in outcomes if outcome.failure_mode is mode)
-                for mode in FailureMode
-            }
-            for target, outcomes in self.by_target.items()
-        }
-
     def summary(self) -> dict:
         summary = summarise_outcomes(self.outcomes)
         summary["name"] = self.name

@@ -37,14 +37,13 @@ import sys
 import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 from ..config import ExecutionConfig, IntegrationConfig, ResilienceConfig
 from ..errors import SandboxError
-from ..execution import SandboxSlots, WorkerPool, resolve_workers
+from ..execution import SandboxSlots, WorkerPool
 from ..targets import TargetRunResult, get_target
 
 #: The directory holding this ``repro`` package: the sandbox child imports
@@ -74,17 +73,6 @@ with open(result_path, "w") as handle:
 
 _MODES = ("subprocess", "inprocess", "pool", "distributed")
 
-#: Counter keys shared by the local and distributed pools whose values must
-#: survive a pool rebuild (``/v1/stats`` is monotonic within one engine).
-_POOL_COUNTER_KEYS = ("tasks_executed", "pool_rebuilds", "retries", "quarantined")
-
-#: The ``stats()`` keys of each pooled mode.  ``workers`` is a gauge: it
-#: reports the live pool only and is never carried across a rebuild.
-_STATS_KEYS = {
-    "pool": _POOL_COUNTER_KEYS,
-    "distributed": ("workers", "leases", "requeues", "rebalances", *_POOL_COUNTER_KEYS),
-}
-
 
 @dataclass
 class RunObservation:
@@ -102,14 +90,19 @@ class RunObservation:
 
 
 class SandboxRunner:
-    """Runs target workloads against module sources with timeout protection."""
+    """Runs target workloads against module sources with timeout protection.
+
+    One runner may serve many callers and targets at once (an engine shares
+    one across all of its targets, campaigns and dataset validation): pool
+    workers look the target up per task, and :attr:`slots` caps how many
+    sandbox workloads run at once, whichever thread submitted them.
+    """
 
     def __init__(
         self,
         config: IntegrationConfig | None = None,
         execution: ExecutionConfig | None = None,
         resilience: ResilienceConfig | None = None,
-        slots: SandboxSlots | None = None,
     ) -> None:
         """Configure the runner; pools and scratch space are created lazily.
 
@@ -117,20 +110,16 @@ class SandboxRunner:
             config: Timeout, iterations and output capture of each run.
             execution: Worker count and chunk size of batches.
             resilience: Supervision / chaos behaviour of the pool modes.
-            slots: A cap on running sandbox workloads shared with other
-                runners (an engine passes its own); every subprocess and
-                pool task holds one slot while it runs.  ``None`` leaves
-                this runner's batches bounded by its worker count only.
         """
         self._config = config or IntegrationConfig()
         self._execution = execution or ExecutionConfig()
         self._resilience = resilience or ResilienceConfig()
-        self._slots = slots
+        #: ``ExecutionConfig.resolved_workers()`` slots; every subprocess run
+        #: and local pool task holds one while it runs.
+        self.slots = SandboxSlots(self._execution.resolved_workers())
         # Lazily-created pools by mode: a WorkerPool under "pool", a
         # repro.distributed.DistributedPool under "distributed".
         self._pools: dict[str, Any] = {}
-        # Counters of pools replaced by a rebuild, by mode.
-        self._retired = {mode: dict.fromkeys(keys, 0) for mode, keys in _STATS_KEYS.items()}
         self._scratch: tempfile.TemporaryDirectory | None = None
         self._task_ids = itertools.count()
         self._lock = threading.Lock()
@@ -148,29 +137,17 @@ class SandboxRunner:
         return self._resilience
 
     def pool_stats(self) -> dict[str, int] | None:
-        """Supervision counters of the lazily-created pool (``None`` before use).
-
-        Counters accumulate across pool rebuilds (e.g. a per-call
-        ``max_workers`` override replacing the pool), so they are monotonic
-        for the lifetime of this runner.
-        """
+        """Supervision counters of the lazily-created pool (``None`` before use)."""
         return self._stats("pool")
 
     def distributed_stats(self) -> dict[str, int] | None:
-        """Counters of the lazily-created distributed pool (``None`` before use).
-
-        Like :meth:`pool_stats`, cumulative counters survive pool rebuilds;
-        the ``workers`` gauge always reflects the live pool only.
-        """
+        """Counters of the lazily-created distributed pool (``None`` before use)."""
         return self._stats("distributed")
 
     def _stats(self, mode: str) -> dict[str, int] | None:
         with self._lock:
             pool = self._pools.get(mode)
-            retired = dict(self._retired[mode])
-        if pool is None:
-            return retired if any(retired.values()) else None
-        return {key: value + retired.get(key, 0) for key, value in pool.stats().items()}
+        return pool.stats() if pool is not None else None
 
     def close(self) -> None:
         """Release the worker pools and the scratch directory (idempotent)."""
@@ -218,7 +195,7 @@ class SandboxRunner:
         if mode not in _MODES:
             raise SandboxError(f"unknown runner mode {mode!r}; use one of {_MODES}")
         iterations = iterations or self._config.workload_iterations
-        return self._dispatch_chunk(target_name, [module_source], seed, iterations, mode, None)[0]
+        return self._dispatch_chunk(target_name, [module_source], seed, iterations, mode)[0]
 
     def run_batch(
         self,
@@ -227,7 +204,6 @@ class SandboxRunner:
         seed: int = 0,
         iterations: int | None = None,
         mode: str = "subprocess",
-        max_workers: int | None = None,
         batch_size: int | None = None,
         timeout_seconds: float | None = None,
     ) -> list[RunObservation]:
@@ -247,7 +223,6 @@ class SandboxRunner:
                 ``IntegrationConfig.workload_iterations``.
             mode: One of ``"inprocess"``, ``"subprocess"``, ``"pool"``, or
                 ``"distributed"``.
-            max_workers: Per-call worker override (capped by the CPU count).
             batch_size: Chunk size for submissions; defaults to
                 ``ExecutionConfig.batch_size``.
             timeout_seconds: Per-call override of
@@ -280,7 +255,6 @@ class SandboxRunner:
                     seed,
                     iterations,
                     mode,
-                    max_workers,
                     timeout_seconds,
                 )
             )
@@ -293,7 +267,6 @@ class SandboxRunner:
         seed: int,
         iterations: int,
         mode: str,
-        max_workers: int | None,
         timeout_seconds: float | None = None,
     ) -> list[RunObservation]:
         """Run one submission chunk through the requested execution mode."""
@@ -304,7 +277,7 @@ class SandboxRunner:
                 for source in module_sources
             ]
         if mode == "subprocess":
-            workers = self._execution.resolved_workers(max_workers)
+            workers = self.slots.total
             if workers <= 1 or len(module_sources) == 1:
                 return [
                     self._run_subprocess(target_name, source, seed, iterations, timeout_seconds)
@@ -319,7 +292,7 @@ class SandboxRunner:
                         module_sources,
                     )
                 )
-        return self._run_pooled(mode, target_name, module_sources, seed, iterations, max_workers, timeout_seconds)
+        return self._run_pooled(mode, target_name, module_sources, seed, iterations, timeout_seconds)
 
     # -- modes --------------------------------------------------------------------
 
@@ -354,7 +327,7 @@ class SandboxRunner:
             str(result_path),
         ]
         try:
-            with self._claim(1):
+            with self.slots.claim(1):
                 completed = subprocess.run(
                     command,
                     capture_output=self._config.capture_output,
@@ -399,11 +372,10 @@ class SandboxRunner:
         module_sources: list[str],
         seed: int,
         iterations: int,
-        max_workers: int | None = None,
         timeout_seconds: float | None = None,
     ) -> list[RunObservation]:
         """Run the sources on this runner's ``"pool"`` or ``"distributed"`` pool."""
-        pool = self._ensure_pool(mode, max_workers)
+        pool = self._ensure_pool(mode)
         if timeout_seconds is None:
             timeout_seconds = self._config.test_timeout_seconds
         if mode == "distributed":
@@ -413,9 +385,10 @@ class SandboxRunner:
             )
             return [self._observation_from_pool(payload) for payload in payloads]
         payloads = []
-        with self._claim(min(len(module_sources), pool.max_workers)) as granted:
-            # Granted fewer slots than the pool has workers: feed it chunks
-            # of that size, so no more tasks run at once than were granted.
+        with self.slots.claim(min(len(module_sources), pool.max_workers)) as granted:
+            # Granted fewer slots than the pool has workers (other callers
+            # hold the rest): feed it chunks of that size, so no more tasks
+            # run at once than were granted.
             step = len(module_sources) if granted >= pool.max_workers else granted
             for start in range(0, len(module_sources), step):
                 payloads.extend(
@@ -431,29 +404,16 @@ class SandboxRunner:
 
     # -- helpers ------------------------------------------------------------------
 
-    def _ensure_pool(self, mode: str, max_workers: int | None = None) -> Any:
+    def _ensure_pool(self, mode: str) -> Any:
         """The runner's pool for ``mode`` (``"pool"`` or ``"distributed"``)."""
-        workers = self._execution.resolved_workers(max_workers)
         with self._lock:
             pool = self._pools.get(mode)
-            stale = None
-            if pool is not None and max_workers is not None and pool.max_workers != workers:
-                # An explicit per-call override takes effect even if a pool of a
-                # different size already exists.  Its counters roll into the
-                # retired totals so /v1/stats stays monotonic across rebuilds.
-                stale, pool = self._pools.pop(mode), None
-                retired = self._retired[mode]
-                for key, value in stale.stats().items():
-                    if key != "workers":
-                        retired[key] += value
-                retired["pool_rebuilds"] += 1
             if pool is None:
-                pool = self._pools[mode] = self._new_pool(mode, workers)
-        if stale is not None:
-            stale.shutdown()
+                pool = self._pools[mode] = self._new_pool(mode)
         return pool
 
-    def _new_pool(self, mode: str, workers: int) -> Any:
+    def _new_pool(self, mode: str) -> Any:
+        workers = self.slots.total
         if mode == "distributed":
             from ..distributed import DistributedPool
 
@@ -468,15 +428,6 @@ class SandboxRunner:
             task_timeout_seconds=self._config.test_timeout_seconds,
             resilience=self._resilience,
         )
-
-    @contextmanager
-    def _claim(self, wanted: int) -> Iterator[int]:
-        """Hold sandbox slots for up to ``wanted`` runs (see :class:`SandboxSlots`)."""
-        if self._slots is None:
-            yield wanted
-            return
-        with self._slots.claim(wanted) as granted:
-            yield granted
 
     def _scratch_file(self) -> Path:
         """A unique module path inside the runner's persistent scratch directory.

@@ -75,10 +75,6 @@ class RenderedFault:
     operator: str | None = None
     notes: list[str] = field(default_factory=list)
 
-    @property
-    def is_module_level(self) -> bool:
-        return self.module_source is not None
-
 
 class CodeGrammar:
     """Renders decision vectors into syntactically valid faulty Python.

@@ -293,13 +293,3 @@ TIME_UNIT_SECONDS: dict[str, float] = {
     "millisecond": 0.001, "milliseconds": 0.001, "ms": 0.001,
     "minute": 60.0, "minutes": 60.0, "min": 60.0, "mins": 60.0,
 }
-
-
-def fault_type_vocabulary() -> list[str]:
-    """All phrases and words that signal a fault type (for feature hashing)."""
-    return sorted(set(FAULT_TYPE_PHRASES) | set(FAULT_TYPE_WORDS))
-
-
-def handling_vocabulary() -> list[str]:
-    """All phrases that signal a handling style."""
-    return sorted(HANDLING_PHRASES)

@@ -104,10 +104,6 @@ class PosTagger:
         """Tag every token in ``text``."""
         return [TaggedToken(token=token, tag=self._tag_token(token)) for token in self._tokenizer.tokenize(text)]
 
-    def tag_tokens(self, tokens: list[Token]) -> list[TaggedToken]:
-        """Tag an already tokenised sequence."""
-        return [TaggedToken(token=token, tag=self._tag_token(token)) for token in tokens]
-
     def _tag_token(self, token: Token) -> PosTag:
         text = token.text
         lower = token.lower

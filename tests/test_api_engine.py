@@ -4,7 +4,9 @@ and the batched NLP extraction stage."""
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+import socket
 import subprocess
 import threading
 import time
@@ -17,8 +19,14 @@ from repro import (
     NeuralFaultInjector,
     PipelineConfig,
 )
-from repro.api import DatasetRequest, GeneratePayload, RLHFRequest
-from repro.config import EngineConfig, ExecutionConfig, IntegrationConfig, RLHFConfig
+from repro.api import CampaignRequest, DatasetRequest, GeneratePayload, RLHFRequest
+from repro.config import (
+    DistributedConfig,
+    EngineConfig,
+    ExecutionConfig,
+    IntegrationConfig,
+    RLHFConfig,
+)
 from repro.errors import EngineClosedError, RequestError
 from repro.execution import WorkerPool
 from repro.nlp import FaultSpecExtractor
@@ -169,13 +177,12 @@ class TestSandboxSlots:
             def run(command, *args, **kwargs):
                 # Count only this engine's sandbox children, whose module file
                 # ([python, -S, -c, driver, package root, target, module, ...])
-                # sits in the scratch directory of one of its runners; a driver
-                # run left over from an earlier test's engine is not ours.
+                # sits in its sandbox runner's scratch directory; a sandbox
+                # child left over from an earlier test's engine is not ours.
                 if engine is None or not isinstance(command, list) or len(command) <= 6:
                     return real_run(command, *args, **kwargs)
-                runners = [experiment._runner for experiment in list(engine._experiment_runners.values())]
-                ours = {runner._scratch.name for runner in runners if runner._scratch is not None}
-                if os.path.dirname(command[6]) not in ours:
+                scratch = engine.sandbox_runner._scratch
+                if scratch is None or os.path.dirname(command[6]) != scratch.name:
                     return real_run(command, *args, **kwargs)
                 return counted(1, lambda: real_run(command, *args, **kwargs))
 
@@ -203,10 +210,92 @@ class TestSandboxSlots:
             with engine._scheduler.held():  # one dispatch: two groups of two
                 handles = [engine.submit(request) for request in requests]
             responses = [handle.result(timeout=120) for handle in handles]
-            in_use = engine.sandbox_slots.in_use
-            assert in_use == 0, f"sandbox_slots.in_use={in_use} after every response (peak={peak})"
+            in_use = engine.sandbox_runner.slots.in_use
+            assert in_use == 0, f"slots.in_use={in_use} after every response (peak={peak})"
         assert [response.status for response in responses] == ["ok"] * 4
-        assert 1 <= peak <= 2, f"peak={peak} concurrent sandbox runs (sandbox_slots.in_use={in_use})"
+        assert 1 <= peak <= 2, f"peak={peak} concurrent sandbox runs (slots.in_use={in_use})"
+
+
+class TestOneSandboxRunner:
+    """Every sandbox run of an engine goes through its one runner: one pool
+    per plane, whatever the target, technique or request kind."""
+
+    @staticmethod
+    def _config(**execution) -> PipelineConfig:
+        return PipelineConfig(
+            execution=ExecutionConfig(**execution),
+            engine=EngineConfig(max_queue_delay_seconds=0.0),
+        )
+
+    @pytest.mark.pool
+    def test_campaign_baselines_and_override_datasets_count_on_the_pool(self):
+        with FaultInjectionEngine(self._config(default_mode="pool", max_workers=2)) as engine:
+            campaign = engine.run(
+                CampaignRequest(
+                    target="bank",
+                    scenarios=(DESCRIPTIONS[0],),
+                    techniques=("predefined-model", "random"),
+                    budget=2,
+                )
+            )
+            assert campaign.ok, campaign.error
+            assert engine.execution_stats()["totals"]["tasks_executed"] == 4
+            dataset = engine.run(
+                DatasetRequest(targets=("bank",), samples_per_target=2, validate_candidates=True)
+            )
+            assert dataset.ok, dataset.error
+            stats = engine.execution_stats()
+        assert stats["totals"]["tasks_executed"] == 6
+        assert list(stats["pools"]) == ["pool"]
+
+    def test_a_fixed_coordinator_port_serves_every_target_and_campaign(self):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        config = self._config(max_workers=1, distributed=DistributedConfig(port=port, workers=1))
+        with FaultInjectionEngine(config) as engine:
+            campaign = engine.run(
+                CampaignRequest(
+                    target="bank",
+                    scenarios=(DESCRIPTIONS[0],),
+                    techniques=("neural", "predefined-model"),
+                    budget=1,
+                    mode="distributed",
+                )
+            )
+            assert campaign.ok, campaign.error
+            executed = engine.run_many(
+                [
+                    GenerateRequest(description=DESCRIPTIONS[1], target="bank", execute=True, mode="distributed"),
+                    GenerateRequest(
+                        description=KVSTORE_DESCRIPTIONS[0], target="kvstore", execute=True, mode="distributed"
+                    ),
+                ]
+            )
+            assert [response.status for response in executed] == ["ok", "ok"]
+            stats = engine.execution_stats()
+        assert list(stats["pools"]) == ["distributed"]
+        assert stats["distributed"]["workers"] == 1
+
+    @pytest.mark.pool
+    def test_every_target_runs_on_one_pool(self):
+        descriptions = {
+            "bank": DESCRIPTIONS[0],
+            "kvstore": KVSTORE_DESCRIPTIONS[0],
+            "ecommerce": "Simulate a timeout in the charge_payment function causing an unhandled exception",
+            "queue": "Simulate a timeout in the publish function causing an unhandled exception",
+        }
+        before = {child.pid for child in multiprocessing.active_children()}
+        with FaultInjectionEngine(self._config(default_mode="pool", max_workers=2)) as engine:
+            responses = engine.run_many(
+                [
+                    GenerateRequest(description=description, target=target, execute=True)
+                    for target, description in descriptions.items()
+                ]
+            )
+            assert [response.status for response in responses] == ["ok"] * 4
+            workers = [child for child in multiprocessing.active_children() if child.pid not in before]
+            assert 1 <= len(workers) <= engine.config.execution.resolved_workers()
 
 
 class TestCloseFromCallbacks:

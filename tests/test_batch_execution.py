@@ -7,6 +7,9 @@ against the serial path, and RLHF batch-scoring equivalence.
 
 from __future__ import annotations
 
+import os
+import subprocess
+
 import pytest
 
 from repro.config import DatasetConfig, ExecutionConfig, IntegrationConfig, ModelConfig, RLHFConfig
@@ -204,6 +207,31 @@ class TestPooledDatasetGeneration:
         assert len(dataset) == 3
         assert generator.stats.discarded == 1
         assert generator.stats.batches[0]["kept"] == 3
+
+    def test_validation_keeps_its_own_time_budget_on_a_borrowed_runner(self, monkeypatch):
+        # A borrowed runner (an engine passes its own) carries a longer test
+        # timeout; validation still runs under validation_timeout_seconds.
+        config = DatasetConfig(
+            samples_per_target=2, validate_candidates=True, validation_timeout_seconds=2.5
+        )
+        timeouts: list[float] = []
+        real_run = subprocess.run
+
+        def run(command, *args, **kwargs):
+            scratch = runner._scratch
+            if isinstance(command, list) and len(command) > 6 and scratch is not None:
+                if os.path.dirname(command[6]) == scratch.name:
+                    timeouts.append(kwargs.get("timeout"))
+            return real_run(command, *args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", run)
+        with SandboxRunner(IntegrationConfig(test_timeout_seconds=30.0)) as runner:
+            generator = DatasetGenerator(
+                config, execution=ExecutionConfig(default_mode="subprocess"), runner=runner
+            )
+            dataset = generator.generate([get_target("bank")])
+        assert len(dataset) == 2
+        assert timeouts == [2.5, 2.5]
 
 
 class TestRLHFBatchScoring:

@@ -149,3 +149,15 @@ class TestPipelineConfig:
     def test_from_dict_rejects_non_mapping_section(self):
         with pytest.raises(ConfigurationError):
             PipelineConfig.from_dict({"model": "not-a-mapping"})
+
+    @pytest.mark.parametrize("data,named", [
+        ({"execution": {"max_worker": 2}}, "unknown execution field(s): max_worker"),
+        ({"integration": {"keep_workspaces": True}}, "unknown integration field(s): keep_workspaces"),
+        ({"execution": {"distributed": {"prot": 9}}}, "unknown execution.distributed field(s): prot"),
+        ({"resilience": {"chaos": {"crash": 1.0}}}, "unknown resilience.chaos field(s): crash"),
+        ({"executon": {}}, "unknown pipeline field(s): executon"),
+    ])
+    def test_from_dict_names_the_section_and_field_it_does_not_know(self, data, named):
+        with pytest.raises(ConfigurationError) as caught:
+            PipelineConfig.from_dict(data)
+        assert str(caught.value) == named

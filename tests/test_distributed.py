@@ -9,6 +9,7 @@ elastic membership) is exercised without paying process-spawn time.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import time
 
@@ -138,6 +139,64 @@ class TestDistributedFleetExecution:
             "bank", [hang], seed=5, iterations=5, mode="distributed", timeout_seconds=1.0
         )
         assert observations[0].timed_out
+
+    def test_a_hung_batch_holds_only_the_worker_running_it(self, dist_runner, bank_source):
+        # One coordinator serves every caller of a runner: while one thread's
+        # batch hangs on one worker, another thread's batch runs on the rest.
+        dist_runner.run_batch("bank", [bank_source], seed=5, iterations=5, mode="distributed")
+        assert dist_runner._pools["distributed"].wait_for_workers(3, timeout=30.0)
+        hung: list = []
+        hang = "import time\ntime.sleep(60)\n"
+        thread = threading.Thread(
+            target=lambda: hung.extend(
+                dist_runner.run_batch(
+                    "bank", [hang], seed=5, iterations=5, mode="distributed", timeout_seconds=3.0
+                )
+            )
+        )
+        thread.start()
+        time.sleep(0.5)  # the hung task holds its worker by now
+        started = time.monotonic()
+        kv = dist_runner.run_batch(
+            "kvstore", [get_target("kvstore").build_source()], seed=5, iterations=5, mode="distributed"
+        )
+        elapsed = time.monotonic() - started
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert hung[0].timed_out
+        assert kv[0].completed
+        assert elapsed < 2.0, f"the kvstore batch waited {elapsed:.2f}s behind the hung batch"
+
+    def test_concurrent_batches_share_the_fleet(self, dist_runner, bank_source):
+        # More threads than cores drive batches through one coordinator with
+        # a short switch interval: every batch comes back whole and in order,
+        # and no task goes uncounted.
+        pool = dist_runner._pools.get("distributed")
+        before = pool.stats()["tasks_executed"] if pool is not None else 0
+        kv_source = get_target("kvstore").build_source()
+        results: dict[int, list] = {}
+
+        def drive(index: int) -> None:
+            target, source = ("bank", bank_source) if index % 2 else ("kvstore", kv_source)
+            results[index] = dist_runner.run_batch(
+                target, [source] * 3, seed=index, iterations=3, mode="distributed"
+            )
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=drive, args=(index,)) for index in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(results) == list(range(6))
+        for index, observations in results.items():
+            assert [o.result.target for o in observations] == ["bank" if index % 2 else "kvstore"] * 3
+        assert dist_runner.distributed_stats()["tasks_executed"] - before == 18
 
 
 def _processes_mentioning(text: str) -> list[str]:

@@ -192,10 +192,10 @@ class TestSandboxRunnerBatches:
             return real_batch(pool, target_name, module_sources, **kwargs)
 
         monkeypatch.setattr(WorkerPool, "run_batch", run_batch)
-        slots = SandboxSlots(2)
-        with SandboxRunner(execution=ExecutionConfig(max_workers=2), slots=slots) as sandbox:
+        with SandboxRunner(execution=ExecutionConfig(max_workers=2)) as sandbox:
+            slots = sandbox.slots
             sources = [bank_source, bank_source + "\nBROKEN = (\n", bank_source]
-            with slots.claim(1):  # another runner holds one of the two slots
+            with slots.claim(1):  # another caller holds one of the two slots
                 observations = sandbox.run_batch("bank", sources, mode="pool", iterations=5)
             assert chunks == [1, 1, 1]
             assert [o.completed for o in observations] == [True, False, True]
@@ -203,6 +203,54 @@ class TestSandboxRunnerBatches:
             sandbox.run_batch("bank", sources, mode="pool", iterations=5)
             assert chunks == [3]  # both slots free: the pool's own size bounds it
         assert slots.in_use == 0
+
+    def test_threads_driving_one_runner_share_its_pool_and_slots(self, monkeypatch):
+        # More threads than cores run two-task batches for two targets on one
+        # runner: every task runs on its one pool, no more than its slots run
+        # at once, and every slot comes back.
+        live = peak = 0
+        lock = threading.Lock()
+        real_batch = WorkerPool.run_batch
+
+        def run_batch(pool, target_name, module_sources, **kwargs):
+            nonlocal live, peak
+            with lock:
+                live += len(module_sources)
+                peak = max(peak, live)
+            try:
+                return real_batch(pool, target_name, module_sources, **kwargs)
+            finally:
+                with lock:
+                    live -= len(module_sources)
+
+        monkeypatch.setattr(WorkerPool, "run_batch", run_batch)
+        sources = {name: get_target(name).build_source() for name in ("bank", "kvstore")}
+        batches: list = []
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with SandboxRunner(execution=ExecutionConfig(max_workers=2)) as sandbox:
+                threads = [
+                    threading.Thread(
+                        target=lambda name=name: batches.append(
+                            sandbox.run_batch(name, [sources[name]] * 2, mode="pool", iterations=3)
+                        )
+                    )
+                    for name in ("bank", "kvstore") * 3
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+                assert sandbox.slots.in_use == 0
+                assert sandbox.pool_stats()["tasks_executed"] == 12
+                assert list(sandbox._pools) == ["pool"]
+        finally:
+            sys.setswitchinterval(previous)
+        assert len(batches) == 6
+        assert all(observation.completed for batch in batches for observation in batch)
+        assert 1 <= peak <= 2
 
 
 class TestSandboxSlots:
@@ -223,21 +271,6 @@ class TestSandboxSlots:
         waiter.join(timeout=5)
         assert granted == [2]
         assert slots.in_use == 0
-
-
-@pytest.mark.pool
-class TestPoolStatsAcrossRebuilds:
-    def test_counters_accumulate_across_max_workers_rebuilds(self, runner, bank_source):
-        assert runner.pool_stats() is None
-        runner.run_batch("bank", [bank_source], mode="pool", max_workers=1, iterations=5)
-        first = runner.pool_stats()
-        assert first["tasks_executed"] == 1
-        # a per-call max_workers override replaces the pool; the counters it
-        # accumulated must survive the rebuild so /v1/stats stays monotonic
-        runner.run_batch("bank", [bank_source] * 2, mode="pool", max_workers=2, iterations=5)
-        second = runner.pool_stats()
-        assert second["tasks_executed"] == 3
-        assert second["pool_rebuilds"] == first["pool_rebuilds"] + 1
 
 
 class TestSandboxRunnerObservationBranches:

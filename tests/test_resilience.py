@@ -530,4 +530,4 @@ class TestEngineResilience:
             assert response.ok
             stats = engine.execution_stats()
             assert stats["totals"]["tasks_executed"] >= 1
-            assert "bank" in stats["pools"]
+            assert list(stats["pools"]) == ["pool"]

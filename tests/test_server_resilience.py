@@ -211,7 +211,7 @@ class TestGracefulDegradation:
         assert status == 200
         execution = stats["execution"]
         assert execution["totals"]["tasks_executed"] >= 1
-        assert "bank" in execution["pools"]
+        assert list(execution["pools"]) == ["pool"]
         assert "bank:pool" in execution["breakers"]
 
 
