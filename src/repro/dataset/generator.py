@@ -337,7 +337,7 @@ class DatasetGenerator:
         bare_name = applied.point.function
         try:
             original_code = ast_utils.function_source(source, bare_name)
-            faulty_code = ast_utils.function_source(applied.patch.mutated, bare_name)
+            faulty_code = applied.function_source
         except Exception:
             original_code = source
             faulty_code = applied.patch.mutated

@@ -31,8 +31,10 @@ layer converts them to :class:`~repro.integration.runner.RunObservation`.
 
 from __future__ import annotations
 
+import io
 import os
 import signal
+import sys
 import threading
 from concurrent.futures import CancelledError, Future, ProcessPoolExecutor, TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
@@ -96,6 +98,9 @@ def _pool_initializer() -> None:  # pragma: no cover - runs in worker processes
 def _execute_task(task: dict[str, Any]) -> dict[str, Any]:
     """Run one target workload inside a pool worker and report a plain dict.
 
+    What the mutant prints goes to buffers, returned as the payload's
+    ``stdout`` and ``stderr``, not to the worker's inherited streams.  A
+    timed-out task reports none, as a killed ``subprocess`` run does.
     Must stay importable at module top level so the executor can pickle it.
     """
     from ..targets import get_target
@@ -109,6 +114,9 @@ def _execute_task(task: dict[str, Any]) -> dict[str, Any]:
         # workload ran, so a dropped result is genuinely computed then lost.
         chaos_drop = apply_worker_chaos(chaos, str(task.get("chaos_key", "")), int(task.get("attempt", 0))) == DROP
 
+    stdout, stderr = io.StringIO(), io.StringIO()
+    streams = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = stdout, stderr
     timeout = float(task.get("timeout_seconds") or 0.0)
     use_alarm = timeout > 0 and hasattr(signal, "SIGALRM") and threading.current_thread() is threading.main_thread()
     previous_handler = None
@@ -130,15 +138,18 @@ def _execute_task(task: dict[str, Any]) -> dict[str, Any]:
                 signal.setitimer(signal.ITIMER_REAL, 0.0)
         if chaos_drop:
             return {"status": "chaos-dropped"}
-        return {"status": "ok", "result": result.to_dict()}
+        payload = {"status": "ok", "result": result.to_dict()}
     except _TaskTimeout:
         return {"status": "timeout"}
     except BaseException as exc:  # noqa: BLE001 - workers must never die on a task
-        return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
+        payload = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
     finally:
+        sys.stdout, sys.stderr = streams
         if use_alarm:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous_handler)
+    payload["stdout"], payload["stderr"] = stdout.getvalue(), stderr.getvalue()
+    return payload
 
 
 class WorkerPool:

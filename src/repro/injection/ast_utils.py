@@ -1,15 +1,21 @@
 """AST helpers shared by the fault operators and the code-generation grammar.
 
-The injection engine works exclusively on :mod:`ast` trees and re-renders them
-with :func:`ast.unparse`, so every mutation is guaranteed to be syntactically
-valid Python — an invariant the grammar-constrained decoder relies on.
+The injection engine works exclusively on :mod:`ast` trees and renders them
+with :func:`ast.unparse`, so every mutation is syntactically valid Python — an
+invariant the grammar-constrained decoder relies on.  A fault changes one
+function, so :func:`edit_function` renders only that function: it edits a
+private parse of the function's text in the module's cached normal form
+(``ast.unparse(ast.parse(source))``), unparses it, and splices it back over
+the function's lines.  The result is byte-identical to unparsing the whole
+mutated module, at the cost of one function instead of one module.
 """
 
 from __future__ import annotations
 
 import ast
 import copy
-from typing import Iterator
+from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from ..errors import CodeAnalysisError
 from ..execution.cache import get_cache
@@ -80,10 +86,16 @@ def iter_functions(tree: ast.Module) -> Iterator[tuple[FunctionNode, str | None]
 
 def find_function(tree: ast.Module, name: str) -> FunctionNode | None:
     """Find a function by bare name or ``Class.method`` qualified name."""
+    located = locate_function(tree, name)
+    return located[0] if located is not None else None
+
+
+def locate_function(tree: ast.Module, name: str) -> tuple[FunctionNode, str | None] | None:
+    """The first (function node, enclosing class name) named ``name``, bare or qualified."""
     for node, class_name in iter_functions(tree):
         qualified = f"{class_name}.{node.name}" if class_name else node.name
         if node.name == name or qualified == name:
-            return node
+            return node, class_name
     return None
 
 
@@ -96,8 +108,16 @@ def function_names(tree: ast.Module) -> list[str]:
 
 
 def function_source(source: str, name: str) -> str:
-    """Extract the source text of a single function from a module."""
-    tree = parse_module(source, mutable=False)
+    """The text of function ``name`` in ``source``, as :func:`ast.get_source_segment` gives it.
+
+    The text runs from ``def`` to the function's last character: decorators
+    are excluded, the first line is unindented, and a method's other lines
+    keep their module indentation.
+    """
+    return _segment(source, parse_module(source, mutable=False), name)
+
+
+def _segment(source: str, tree: ast.Module, name: str) -> str:
     node = find_function(tree, name)
     if node is None:
         raise CodeAnalysisError(f"function {name!r} not found in target code")
@@ -107,11 +127,177 @@ def function_source(source: str, name: str) -> str:
     return segment
 
 
-def replace_function_source(module_source: str, function_name: str, new_function_source: str) -> str:
-    """Replace one function definition inside a module with new source text.
+def normal_form(source: str, path: str | None = None) -> tuple[str, ast.Module]:
+    """``source``'s cached normal form and the cached, shared parse of that text."""
+    normal = normalised_source(source, path)
+    return normal, parse_module(normal, path, mutable=False)
+
+
+@dataclass(frozen=True)
+class FunctionEdit:
+    """A module, in normal form, with one function edited (see :func:`edit_function`).
+
+    ``function`` is what :func:`function_source` returns for ``module`` and
+    ``name``, the edited function's bare name.  A spliced edit knows it
+    without parsing ``module``, because the edited def was re-parsed on its
+    own; ``module`` is then valid Python by construction.  After a
+    whole-module fallback ``function`` is ``None``, and
+    :meth:`function_source` parses ``module`` privately, outside the shared
+    parse cache.
+    """
+
+    module: str
+    name: str
+    function: str | None = None
+
+    @property
+    def spliced(self) -> bool:
+        """Whether the edited def was spliced in and re-parsed, so ``module`` parses."""
+        return self.function is not None
+
+    def function_source(self) -> str:
+        if self.function is not None:
+            return self.function
+        return _segment(self.module, _parse(self.module, None), self.name)
+
+
+#: Parses a method's text at its class's indentation, and unparses it there.
+_CLASS_HEADER = "class _:\n"
+
+
+def edit_function(
+    source: str,
+    name: str,
+    class_name: str | None,
+    mutate: Callable[[ast.Module, FunctionNode], None],
+    path: str | None = None,
+) -> FunctionEdit | None:
+    """Edit one function of ``source`` and splice it into the module's normal form.
+
+    ``mutate(tree, function)`` gets a private ``function`` node, parsed from
+    the function's text in the normal form, and a ``tree`` whose body is a
+    fresh list of the cached parse's statements with the function (or a
+    shallow copy of its class) swapped for the private node.  It may change
+    the function and add top-level statements, but never the shared nodes.
+    Only the function is unparsed, at its class's indentation, and spliced
+    over its lines, decorators included.  An ``import`` added to the top
+    level is spliced in as one line; any other top-level change falls back
+    to unparsing ``tree`` whole.
+
+    Returns ``None`` when ``source`` has no function ``name`` in class
+    ``class_name`` (``None`` for a module-level function).
+    """
+    normal, shared = normal_form(source, path)
+    located = _locate(shared, name, class_name)
+    if located is None:
+        return None
+    position, method_position, original = located
+    header = "" if method_position is None else _CLASS_HEADER
+    lines = normal.split("\n")
+    first = original.decorator_list[0].lineno if original.decorator_list else original.lineno
+    span = slice(first - 1, original.end_lineno)
+    fragment = ast.parse(header + "\n".join(lines[span]))
+    function = _fragment_function(fragment)
+
+    body = list(shared.body)
+    owner = None if method_position is None else copy.copy(shared.body[position])
+    if owner is None:
+        body[position] = function
+    else:
+        owner.body = list(owner.body)
+        owner.body[method_position] = function
+        body[position] = owner
+    methods = list(owner.body) if owner is not None else []
+    tree = ast.Module(body=list(body), type_ignores=[])
+    mutate(tree, function)
+
+    changed = not _same(body, tree.body)
+    insertion = _import_insertion(shared, body, tree.body) if changed else None
+    if (changed and insertion is None) or (owner is not None and not _same(methods, owner.body)):
+        return FunctionEdit(unparse(tree), name)
+
+    text = ast.unparse(ast.fix_missing_locations(fragment))
+    edited = text.split("\n")
+    try:
+        reparsed = ast.parse(text)
+    except SyntaxError:
+        segment = None  # FunctionEdit.function_source parses the module and reports it
+    else:
+        segment = _unparsed_segment(edited, _fragment_function(reparsed))
+        earlier = find_function(shared, name)
+        if earlier is not original:
+            segment = _unparsed_segment(lines, earlier)
+    if header:
+        del edited[:2]  # the synthetic class line and the blank line unparse puts before a method
+
+    # Splice the lower edit first, so the other one's line numbers still hold.
+    if insertion is not None and insertion[0] >= span.stop:
+        lines[insertion[0] : insertion[0]] = insertion[1]
+    lines[span] = edited
+    if insertion is not None and insertion[0] < span.stop:
+        lines[insertion[0] : insertion[0]] = insertion[1]
+    return FunctionEdit("\n".join(lines), name, segment)
+
+
+def _locate(tree: ast.Module, name: str, class_name: str | None) -> tuple[int, int | None, FunctionNode] | None:
+    """(body index, class-body index or ``None``, node) of the first matching function."""
+    for position, node in enumerate(tree.body):
+        if class_name is None:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name:
+                return position, None, node
+        elif isinstance(node, ast.ClassDef) and node.name == class_name:
+            for method_position, child in enumerate(node.body):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and child.name == name:
+                    return position, method_position, child
+    return None
+
+
+def _unparsed_segment(lines: list[str], node: FunctionNode) -> str:
+    """:func:`ast.get_source_segment` of a def in ``ast.unparse`` output, split into lines.
+
+    Unparsed text breaks lines only at ``\\n``, indents with ASCII spaces,
+    and ends a def's last line where its last statement ends.
+    """
+    segment = lines[node.lineno - 1 : node.end_lineno]
+    segment[0] = segment[0][node.col_offset :]
+    return "\n".join(segment)
+
+
+def _fragment_function(fragment: ast.Module) -> FunctionNode:
+    node = fragment.body[0]
+    return node.body[0] if isinstance(node, ast.ClassDef) else node
+
+
+def _same(before: list[ast.stmt], after: list[ast.stmt]) -> bool:
+    return len(before) == len(after) and all(a is b for a, b in zip(before, after))
+
+
+def _import_insertion(
+    shared: ast.Module, before: list[ast.stmt], after: list[ast.stmt]
+) -> tuple[int, list[str]] | None:
+    """(line index, lines) of the one ``import`` ``after`` adds to ``before``, if that is all it adds.
+
+    Line numbers are those of ``shared``, the parse of the normal form.
+    """
+    if len(after) != len(before) + 1:
+        return None
+    index = next((i for i, (a, b) in enumerate(zip(after, before)) if a is not b), len(before))
+    if not isinstance(after[index], ast.Import) or not _same(before, after[:index] + after[index + 1 :]):
+        return None
+    lines = [ast.unparse(after[index])]
+    if index > 0:
+        return shared.body[index - 1].end_lineno, lines
+    if isinstance(shared.body[0], (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        lines.append("")  # unparse sets a def or class apart with a blank line
+    return 0, lines
+
+
+def replace_function_source(module_source: str, function_name: str, new_function_source: str) -> FunctionEdit:
+    """Replace one function's arguments and body with those of new source text.
 
     The replacement text must itself parse to a module containing exactly one
-    function definition whose name matches ``function_name``.
+    function definition whose name matches ``function_name``.  The target
+    keeps its decorators and return annotation.
     """
     replacement_tree = parse_module(new_function_source)
     functions = [n for n, _cls in iter_functions(replacement_tree)]
@@ -122,13 +308,15 @@ def replace_function_source(module_source: str, function_name: str, new_function
         raise CodeAnalysisError(
             f"replacement defines {replacement.name!r}, expected {function_name!r}"
         )
-    tree = parse_module(module_source)
-    target = find_function(tree, function_name)
+    target = locate_function(normal_form(module_source)[1], function_name)
     if target is None:
         raise CodeAnalysisError(f"function {function_name!r} not found in target module")
-    target.args = replacement.args
-    target.body = replacement.body
-    return unparse(tree)
+
+    def swap(_tree: ast.Module, function: FunctionNode) -> None:
+        function.args = replacement.args
+        function.body = replacement.body
+
+    return edit_function(module_source, target[0].name, target[1], swap)
 
 
 def ensure_import(tree: ast.Module, module_name: str) -> ast.Module:
@@ -142,8 +330,8 @@ def ensure_import(tree: ast.Module, module_name: str) -> ast.Module:
     insert_at = 0
     if tree.body and isinstance(tree.body[0], ast.Expr) and isinstance(tree.body[0].value, ast.Constant):
         insert_at = 1  # keep a module docstring first
-    tree.body.insert(insert_at, import_node)
-    return ast.fix_missing_locations(tree)
+    tree.body.insert(insert_at, ast.fix_missing_locations(import_node))
+    return tree
 
 
 def iter_statement_slots(function: FunctionNode) -> Iterator[tuple[list[ast.stmt], int, ast.stmt]]:

@@ -7,6 +7,13 @@ the injected fault in natural language (:meth:`describe`).  The third ability
 is what lets the injection engine double as the *dataset generator* of
 Section IV-1: every injected fault yields an (NL description, original code,
 faulty code) training triple.
+
+Points are found on the raw source, so their ``lineno`` is the raw line.
+Applying one mutates a private parse of the target function only (see
+:func:`~repro.injection.ast_utils.edit_function`): the operator changes that
+node and may add a top-level import or helper, and the mutated module is the
+source's normal form with the function spliced in.  Operators find their node
+by ``node_index``, which the normal form keeps.
 """
 
 from __future__ import annotations
@@ -63,7 +70,14 @@ class AppliedFault:
     point: InjectionPoint
     patch: Patch
     description: str
+    #: how ``patch.mutated`` was built; not serialised
+    edit: ast_utils.FunctionEdit = field(repr=False, compare=False)
     parameters: dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def function_source(self) -> str:
+        """The faulty function's text: ``function_source(patch.mutated, point.function)``."""
+        return self.edit.function_source()
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -139,10 +153,18 @@ class FaultOperator(ABC):
             )
         rng = rng or SeededRNG(0, namespace=self.name)
         parameters = dict(parameters or {})
-        tree = ast_utils.parse_module(source, path=target_path)
-        function = self._locate_function(tree, point)
-        self._mutate(tree, function, point, rng, parameters)
-        mutated = ast_utils.unparse(tree)
+        edit = ast_utils.edit_function(
+            source,
+            point.function,
+            point.class_name,
+            lambda tree, function: self._mutate(tree, function, point, rng, parameters),
+            path=target_path,
+        )
+        if edit is None:
+            raise NoInjectionPointError(
+                f"function {point.qualified_function!r} not present in source", operator=self.name
+            )
+        mutated = edit.module
         if mutated == source or mutated == ast_utils.normalised_source(source):
             raise InjectionError(
                 f"operator {self.name} produced no change at {point.qualified_function}:{point.lineno}",
@@ -162,15 +184,8 @@ class FaultOperator(ABC):
             point=point,
             patch=patch,
             description=self.describe(point, parameters),
+            edit=edit,
             parameters=parameters,
-        )
-
-    def _locate_function(self, tree: ast.Module, point: InjectionPoint) -> ast_utils.FunctionNode:
-        for function, class_name in ast_utils.iter_functions(tree):
-            if function.name == point.function and class_name == point.class_name:
-                return function
-        raise NoInjectionPointError(
-            f"function {point.qualified_function!r} not present in source", operator=self.name
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -46,9 +46,10 @@ class FaultIntegrator:
         """Integrate an LLM-generated fault into ``target``'s module source."""
         original = target.build_source()
         if fault.patch is not None and fault.patch.original.strip() == original.strip():
-            mutated = fault.patch.mutated
+            mutated, parses = fault.patch.mutated, False
         else:
-            mutated = self._splice_snippet(original, fault)
+            edit = self._splice_snippet(original, fault)
+            mutated, parses = edit.module, edit.spliced
         patch = Patch(
             original=original,
             mutated=mutated,
@@ -56,7 +57,7 @@ class FaultIntegrator:
             function=fault.spec.target.function,
             operator=fault.metadata.get("operator") if fault.metadata else None,
         )
-        return self._finalise(fault.fault_id, target, original, mutated, patch)
+        return self._finalise(fault.fault_id, target, original, mutated, patch, parses)
 
     def integrate_applied(self, target: TargetSystem, applied: AppliedFault) -> IntegratedFault:
         """Integrate a fault produced directly by the injection substrate."""
@@ -74,11 +75,11 @@ class FaultIntegrator:
             operator=applied.operator,
         )
         fault_id = f"{applied.operator}@{applied.point.qualified_function}:{applied.point.lineno}"
-        return self._finalise(fault_id, target, original, applied.patch.mutated, patch)
+        return self._finalise(fault_id, target, original, applied.patch.mutated, patch, applied.edit.spliced)
 
     # -- helpers -----------------------------------------------------------------
 
-    def _splice_snippet(self, original: str, fault: GeneratedFault) -> str:
+    def _splice_snippet(self, original: str, fault: GeneratedFault) -> ast_utils.FunctionEdit:
         """Replace the targeted function in the pristine module with the snippet."""
         function_name = fault.spec.target.function
         if not function_name:
@@ -99,8 +100,11 @@ class FaultIntegrator:
         original: str,
         mutated: str,
         patch: Patch,
+        parses: bool,
     ) -> IntegratedFault:
-        ast_utils.parse_module(mutated, path=f"{target.name}.py", mutable=False)
+        """Package ``mutated``, first checking it parses unless its splice already showed that."""
+        if not parses:
+            ast_utils.parse_module(mutated, path=f"{target.name}.py", mutable=False)
         workspace = None
         if self._workspaces is not None:
             workspace = self._workspaces.create(label=f"{target.name}-{fault_id[:12]}", source=mutated)

@@ -456,12 +456,26 @@ class SandboxRunner:
         )
 
     def _observation_from_pool(self, payload: dict[str, Any]) -> RunObservation:
+        """The observation a pool payload reports, with the task's captured output.
+
+        Without ``capture_output`` the output is echoed to this process's
+        streams instead, as a ``subprocess`` run lets it through.
+        """
+        stdout, stderr = payload.get("stdout", ""), payload.get("stderr", "")
+        if not self._config.capture_output:
+            sys.stdout.write(stdout)
+            sys.stderr.write(stderr)
+            stdout = stderr = ""
         status = payload.get("status")
         if status == "ok":
-            return RunObservation(result=self._result_from_payload(payload["result"]))
+            return RunObservation(
+                result=self._result_from_payload(payload["result"]), stdout=stdout, stderr=stderr
+            )
         if status == "timeout":
             return RunObservation(result=None, timed_out=True)
         return RunObservation(
             result=None,
             harness_error=str(payload.get("error") or "worker produced no result"),
+            stdout=stdout,
+            stderr=stderr,
         )

@@ -18,9 +18,14 @@ Two rendering paths exist:
   operators from :mod:`repro.injection` to the target function, falling back
   to a textual approximation when no operator applies.
 
-Every rendered snippet is re-parsed before being returned, so the grammar can
-guarantee syntactic validity — the property motivating grammar-constrained
-decoding in DESIGN.md.
+Both paths edit only the target function: operators and the scenario splice
+go through :func:`~repro.injection.ast_utils.edit_function`, which parses,
+changes and unparses that one function and splices it into the module's cached
+normal form.  Every rendered snippet is re-parsed before being returned, so
+the grammar can guarantee syntactic validity — the property motivating
+grammar-constrained decoding in DESIGN.md.  A spliced module is valid by
+construction (its edited function re-parsed on its own); only a module an
+operator changed at the top level is re-parsed whole.
 """
 
 from __future__ import annotations
@@ -161,7 +166,6 @@ class CodeGrammar:
             )
         if rendered is None:
             rendered = self._render_scenario(prompt, decisions, function_name, module_source)
-        self._validate(rendered)
         return rendered
 
     # -- operator-backed rendering -----------------------------------------------
@@ -194,15 +198,16 @@ class CodeGrammar:
                 )
             except InjectionError:
                 continue
-            function_source = ast_utils.function_source(applied.patch.mutated, bare_name)
-            return RenderedFault(
+            rendered = RenderedFault(
                 function_name=function_name,
-                function_source=function_source,
+                function_source=applied.function_source,
                 module_source=applied.patch.mutated,
                 original_module_source=module_source,
                 operator=operator_name,
                 notes=[applied.description],
             )
+            self._validate(rendered, applied.edit)
+            return rendered
         return None
 
     @staticmethod
@@ -226,13 +231,35 @@ class CodeGrammar:
         function_name: str,
         module_source: str | None,
     ) -> RenderedFault:
-        spec = prompt.spec
         bare_name = function_name.split(".")[-1]
+        function_source, notes = self._scenario_function(prompt, decisions, bare_name)
+        edit = None
+        if module_source is not None:
+            try:
+                edit = ast_utils.replace_function_source(module_source, bare_name, function_source)
+            except Exception as exc:  # pragma: no cover - defensive, validated below
+                raise GrammarError(f"failed to splice generated function into module: {exc}") from exc
+        rendered = RenderedFault(
+            function_name=function_name,
+            function_source=function_source,
+            module_source=edit.module if edit is not None else None,
+            original_module_source=module_source,
+            operator=None,
+            notes=notes,
+        )
+        self._validate(rendered, edit)
+        return rendered
+
+    def _scenario_function(
+        self, prompt: GenerationPrompt, decisions: DecisionVector, bare_name: str
+    ) -> tuple[str, list[str]]:
+        """The faulty function's text for a scenario template, and its notes."""
+        spec = prompt.spec
         signature, docstring, original_body = self._original_parts(prompt, bare_name)
 
         fault_lines, imports, notes = self._fault_block(spec, decisions, bare_name)
         guarded = self._apply_trigger(fault_lines, spec, decisions, bare_name)
-        body = self._place(guarded, original_body, decisions.placement_style, spec, decisions, bare_name)
+        body = self._place(guarded, original_body, decisions.placement_style)
 
         lines = [signature]
         if docstring:
@@ -241,25 +268,7 @@ class CodeGrammar:
             lines.append(_INDENT + import_line)
         for line in body:
             lines.append(_INDENT + line if line else "")
-        function_source = "\n".join(lines) + "\n"
-
-        new_module_source = None
-        if module_source is not None:
-            try:
-                new_module_source = ast_utils.replace_function_source(
-                    module_source, bare_name, function_source
-                )
-            except Exception as exc:  # pragma: no cover - defensive, validated below
-                raise GrammarError(f"failed to splice generated function into module: {exc}") from exc
-
-        return RenderedFault(
-            function_name=function_name,
-            function_source=function_source,
-            module_source=new_module_source,
-            original_module_source=module_source,
-            operator=None,
-            notes=notes,
-        )
+        return "\n".join(lines) + "\n", notes
 
     def _original_parts(self, prompt: GenerationPrompt, bare_name: str) -> tuple[str, str | None, list[str]]:
         """Signature line, docstring literal, and unparsed body lines of the target."""
@@ -471,10 +480,6 @@ class CodeGrammar:
     def _condition_predicate(condition: str, spec: FaultSpec) -> str:
         words = {word.strip(",.!?").lower() for word in condition.split()}
         negative_markers = {"empty", "missing", "none", "no", "not", "without", "unavailable"}
-        arguments: list[str] = []
-        for entity in spec.entities:
-            if entity.label.value == "function":
-                continue
         components = spec.parameters.get("components", [])
         candidates = list(words & set(components)) if components else []
         if candidates:
@@ -484,41 +489,33 @@ class CodeGrammar:
             return f"bool(locals().get({name!r}, True))"
         return "True"
 
-    def _place(
-        self,
-        fault_lines: list[str],
-        original_body: list[str],
-        placement: PlacementStyle,
-        spec: FaultSpec,
-        decisions: DecisionVector,
-        function_name: str,
-    ) -> list[str]:
+    @staticmethod
+    def _place(fault_lines: list[str], original: list[str], placement: PlacementStyle) -> list[str]:
         """Compose the fault block and the original body per the placement decision."""
-        original = list(original_body)
         if placement is PlacementStyle.BEFORE_RETURN:
             for index in range(len(original) - 1, -1, -1):
                 if original[index].lstrip().startswith("return"):
                     return original[:index] + fault_lines + original[index:]
             return original + fault_lines
-        if placement is PlacementStyle.WRAP_BODY:
-            if decisions.fault_type in SCENARIO_TEMPLATES and decisions.handling_style is not HandlingStyle.UNHANDLED:
-                # The try/except produced by the fault block already represents
-                # the wrapped operation; the original body runs after recovery.
-                return fault_lines + original
-            return fault_lines + original
-        # BODY_START and INSIDE_LOOP (the latter is meaningful only for the
-        # operator-backed path; textual rendering treats it as body start).
+        # BODY_START, WRAP_BODY (a handled scenario's try/except already wraps
+        # the failing operation) and INSIDE_LOOP (meaningful only for the
+        # operator-backed path) all put the fault block first.
         return fault_lines + original
 
     # -- validation ----------------------------------------------------------------
 
     @staticmethod
-    def _validate(rendered: RenderedFault) -> None:
+    def _validate(rendered: RenderedFault, edit: ast_utils.FunctionEdit | None) -> None:
+        """Raise :class:`GrammarError` unless the rendered code parses.
+
+        ``edit`` built ``rendered.module_source``; a spliced edit is valid by
+        construction, so only a whole-module fallback is parsed whole.
+        """
         try:
             ast.parse(rendered.function_source)
         except SyntaxError as exc:
             raise GrammarError(f"generated function is not valid Python: {exc}") from exc
-        if rendered.module_source is not None:
+        if rendered.module_source is not None and not (edit is not None and edit.spliced):
             try:
                 ast.parse(rendered.module_source)
             except SyntaxError as exc:

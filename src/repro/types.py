@@ -339,11 +339,25 @@ class Patch:
 
     @property
     def diff(self) -> str:
-        """Unified diff between the original and mutated source."""
+        """Unified diff between the original and mutated source.
+
+        ``mutated`` is in normal form (``ast.unparse`` output), so the diff
+        starts from the original's cached normal form: it shows the lines the
+        fault changed, not the quotes, comments and blank lines that
+        normalisation rewrote.  An original that does not parse is diffed as
+        it is.
+        """
+        from .errors import CodeAnalysisError
+        from .injection.ast_utils import normalised_source  # repro.injection imports this module
+
+        try:
+            original = normalised_source(self.original)
+        except CodeAnalysisError:
+            original = self.original
         original_name = self.target_path or "original"
         return "".join(
             difflib.unified_diff(
-                self.original.splitlines(keepends=True),
+                original.splitlines(keepends=True),
                 self.mutated.splitlines(keepends=True),
                 fromfile=original_name,
                 tofile=f"{original_name} (faulty)",

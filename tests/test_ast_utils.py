@@ -66,7 +66,7 @@ class TestFunctionDiscovery:
 class TestReplacement:
     def test_replace_function_source(self):
         replacement = "def outer(x):\n    return 42\n"
-        mutated = ast_utils.replace_function_source(SIMPLE, "outer", replacement)
+        mutated = ast_utils.replace_function_source(SIMPLE, "outer", replacement).module
         module = {}
         exec(compile(mutated, "<m>", "exec"), module)
         assert module["outer"](5) == 42

@@ -41,6 +41,8 @@ pytestmark = pytest.mark.pool
 
 #: Kills the hosting worker process outright while the module loads.
 EXIT_ON_LOAD = "import os\nos._exit(7)\n"
+#: Prints to both streams when the module loads.
+PRINT_ON_LOAD = "import sys\nprint('remote mutant says hello')\nprint('remote mutant warns', file=sys.stderr)\n"
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +123,14 @@ class TestDistributedFleetExecution:
             "bank", bank_source, seed=5, iterations=5, mode="distributed"
         )
         assert observation.completed
+
+    def test_remote_workers_capture_what_the_mutant_prints(self, dist_runner, bank_source):
+        source = bank_source + PRINT_ON_LOAD
+        remote = dist_runner.run("bank", source, seed=5, iterations=5, mode="distributed")
+        local = dist_runner.run("bank", source, seed=5, iterations=5, mode="subprocess")
+        assert remote.completed, remote.harness_error
+        assert (remote.stdout, remote.stderr) == (local.stdout, local.stderr)
+        assert remote.stdout == "remote mutant says hello\n"
 
     def test_stats_expose_distribution_counters(self, dist_runner, bank_source):
         dist_runner.run_batch("bank", [bank_source] * 2, seed=5, iterations=5, mode="distributed")

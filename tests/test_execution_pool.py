@@ -30,6 +30,8 @@ EXIT_ON_LOAD = "import os\nos._exit(7)\n"
 SILENT_EXIT_ON_LOAD = "import os\nos._exit(0)\n"
 #: Leaves stdout without a trailing newline when the module loads.
 UNTERMINATED_WRITE_ON_LOAD = "import sys\nsys.stdout.write('x')\n"
+#: Prints to both streams, flushed, when the module loads.
+PRINT_ON_LOAD = "import sys\nprint('mutant says hello', flush=True)\nprint('mutant warns', file=sys.stderr, flush=True)\n"
 
 
 @pytest.fixture()
@@ -303,6 +305,31 @@ class TestSandboxRunnerObservationBranches:
         with SandboxRunner(IntegrationConfig(capture_output=False, test_timeout_seconds=30)) as runner:
             observation = runner.run("bank", bank_source, mode="subprocess")
         assert observation.completed, observation.harness_error
+
+    @pytest.mark.pool
+    def test_pool_captures_what_the_mutant_prints(self, runner, bank_source, capfd):
+        source = bank_source + PRINT_ON_LOAD
+        expected = runner.run("bank", source, mode="subprocess")
+        observation = runner.run("bank", source, mode="pool")
+        assert observation.completed, observation.harness_error
+        assert observation.stdout == expected.stdout == "mutant says hello\n"
+        assert observation.stderr == expected.stderr
+        assert "mutant warns\n" in observation.stderr
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert "mutant warns" not in captured.err
+
+    @pytest.mark.pool
+    def test_pool_echoes_output_it_does_not_capture(self, bank_source, capsys):
+        with SandboxRunner(
+            IntegrationConfig(capture_output=False, test_timeout_seconds=5), execution=ExecutionConfig(max_workers=1)
+        ) as runner:
+            observation = runner.run("bank", bank_source + PRINT_ON_LOAD, mode="pool")
+        assert observation.completed, observation.harness_error
+        assert (observation.stdout, observation.stderr) == ("", "")
+        captured = capsys.readouterr()
+        assert captured.out == "mutant says hello\n"
+        assert "mutant warns\n" in captured.err
 
     @pytest.mark.pool
     def test_pool_timeout_sets_timed_out(self, runner, bank_source):

@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from repro.injection import get_operator
+from repro.targets import all_targets
 from repro.types import (
     Entity,
     EntityLabel,
@@ -110,6 +112,25 @@ class TestPatch:
         patch = Patch(original="a = 1\n", mutated="a = 1\n")
         assert patch.diff == ""
         assert patch.changed_line_count == 0
+
+    @pytest.mark.parametrize("target", all_targets(), ids=lambda target: target.name)
+    def test_an_operator_fault_reports_only_its_own_lines(self, target):
+        """The diff starts from the original's normal form, so normalisation adds no lines."""
+        source = target.build_source()
+        operator = get_operator("raise_timeout")
+        patch = operator.apply(source, operator.find_points(source)[0]).patch
+        changed = [
+            line
+            for line in patch.diff.splitlines()
+            if line.startswith(("+", "-")) and not line.startswith(("+++", "---"))
+        ]
+        assert len(changed) == 1 and changed[0].lstrip("+ ").startswith("raise TimeoutError(")
+        assert patch.changed_line_count == 1
+
+    def test_an_original_that_does_not_parse_is_diffed_as_it_is(self):
+        patch = Patch(original="x = (\n", mutated="x = 1\n")
+        assert "-x = (" in patch.diff
+        assert patch.changed_line_count == 2
 
 
 class TestGeneratedFault:
