@@ -36,12 +36,14 @@ import os
 import signal
 import sys
 import threading
+import time
 from concurrent.futures import CancelledError, Future, ProcessPoolExecutor, TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from ..config import ResilienceConfig
 from ..errors import SandboxError
+from .slots import SandboxSlots
 from .supervision import SupervisedBatch
 
 #: Extra parent-side grace on top of the in-worker alarm before a worker is
@@ -160,8 +162,10 @@ class WorkerPool:
     Several threads may run batches on one pool at once: their parallel
     rounds share the workers, while a suspected pool killer reruns on a
     private one-worker executor, so a worker death there is attributable to
-    its task alone.  The supervision counters are updated under the pool's
-    lock.
+    its task alone.  Every task holds one of :attr:`slots` from its
+    submission until its future resolves, and a task rerunning alone holds
+    one too, so no more tasks run at once than there are slots.  The
+    supervision counters are updated under the pool's lock.
     """
 
     def __init__(
@@ -169,6 +173,7 @@ class WorkerPool:
         max_workers: int | None = None,
         task_timeout_seconds: float = 10.0,
         resilience: ResilienceConfig | None = None,
+        slots: SandboxSlots | None = None,
     ) -> None:
         """Size the pool; no worker processes are spawned until the first batch.
 
@@ -180,6 +185,9 @@ class WorkerPool:
             resilience: Retry budget, quarantine threshold and chaos;
                 defaults to :class:`~repro.config.ResilienceConfig` (chaos
                 off).
+            slots: The budget the pool's tasks hold slots of; a sandbox
+                runner passes the one its subprocess runs share.  Defaults
+                to a budget of the pool's own ``max_workers``.
 
         Raises:
             SandboxError: If ``task_timeout_seconds`` is not positive.
@@ -189,6 +197,7 @@ class WorkerPool:
         self.max_workers = resolve_workers(max_workers)
         self.task_timeout_seconds = float(task_timeout_seconds)
         self.resilience = resilience if resilience is not None else ResilienceConfig()
+        self.slots = slots if slots is not None else SandboxSlots(self.max_workers)
         self._executor: ProcessPoolExecutor | None = None
         self._lock = threading.Lock()
         self.tasks_executed = 0
@@ -284,8 +293,8 @@ class WorkerPool:
 
         Args:
             target_name: Registry name of the target system to drive.
-            module_sources: Module sources, one task each; every payload in
-                this list is in flight at once, so callers bound batch sizes
+            module_sources: Module sources, one task each; the batch holds
+                every task's payload at once, so callers bound batch sizes
                 (see ``ExecutionConfig.batch_size``).
             seed: Workload seed shared by every task.
             iterations: Workload iterations per task.
@@ -318,16 +327,25 @@ class WorkerPool:
 
             if shared:
                 executor = self._ensure_executor()
-                futures = [(index, _submit(executor, batch.task(index))) for index in shared]
-                for index, future in futures:
+                running: list[_Running] = []
+                for index in shared:
+                    release = self._take_slot(executor, running)
+                    future = _submit(executor, batch.task(index))
+                    future.add_done_callback(release)
+                    running.append(_Running(index, future, release, time.monotonic() + backstop))
+                for task in running:
                     # A parallel round cannot tell killer from victim: every
                     # task on a dead executor becomes a suspect and reruns alone.
-                    _report(batch, index, self._collect(future, backstop, executor), alone=False)
+                    payload = self._collect(task.future, task.deadline, executor)
+                    task.release()
+                    _report(batch, task.index, payload, alone=False)
 
             for index in alone:
                 # This task alone held its private executor, so a death there
                 # is attributable to it.
-                _report(batch, index, _run_alone(batch.task(index), backstop), alone=True)
+                with self.slots.claim():
+                    payload = _run_alone(batch.task(index), backstop)
+                _report(batch, index, payload, alone=True)
 
         with self._lock:
             self.tasks_executed += len(module_sources)
@@ -338,10 +356,31 @@ class WorkerPool:
         with self._lock:
             setattr(self, counter, getattr(self, counter) + 1)
 
-    def _collect(self, future, backstop: float, executor: ProcessPoolExecutor) -> dict[str, Any]:
-        """Resolve one future that ran on ``executor`` into a status payload."""
+    def _take_slot(self, executor: ProcessPoolExecutor, running: list["_Running"]) -> Callable[..., None]:
+        """Wait for a slot for the next task of a round; returns its release.
+
+        The round's running tasks hold slots, so the wait keeps their
+        backstop: a task past its deadline has wedged its worker, so
+        ``executor`` is recycled and the task's slot given back, as
+        :meth:`_collect` would do on reaching it.
+        """
+        while True:
+            now = time.monotonic()
+            pending = [task for task in running if not task.future.done()]
+            for task in pending:
+                if task.deadline <= now:
+                    self._recycle(executor)
+                    task.release()
+            deadlines = [task.deadline for task in pending if task.deadline > now]
+            release = self.slots.acquire(timeout=min(deadlines) - now if deadlines else None)
+            if release is not None:
+                return release
+
+    def _collect(self, future, deadline: float, executor: ProcessPoolExecutor) -> dict[str, Any]:
+        """Resolve one future that ran on ``executor`` into a status payload,
+        waiting no later than its backstop ``deadline``."""
         try:
-            return future.result(timeout=backstop)
+            return future.result(timeout=max(0.0, deadline - time.monotonic()))
         except FutureTimeoutError:
             self._recycle(executor)  # outstanding futures fail over to requeue rounds
             return {"status": "timeout"}
@@ -350,6 +389,15 @@ class WorkerPool:
             return {"status": "worker-died"}
         except Exception as exc:  # noqa: BLE001 - submission/pickling failures
             return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
+
+
+class _Running(NamedTuple):
+    """A task submitted to the shared executor, holding one slot."""
+
+    index: int
+    future: "Future[dict[str, Any]]"
+    release: Callable[..., None]  # returns the slot; only the first call does
+    deadline: float  # monotonic backstop: past it, the worker is wedged
 
 
 def _report(batch: SupervisedBatch, index: int, payload: dict[str, Any], alone: bool) -> None:

@@ -1,21 +1,24 @@
 """A cap on concurrently running sandbox workloads.
 
 Each :class:`~repro.integration.SandboxRunner` owns one, sized
-``ExecutionConfig.resolved_workers()``.  One runner may be driven from
-several threads at once: an engine's sandbox threads (one execution group
-each) and its dispatch thread (campaigns, dataset validation, RLHF scoring)
-all run on the engine's runner.  Each of those calls may fan out to
-``resolved_workers()`` children, so without a shared cap their product —
-not ``max_workers`` — would bound the number of live sandbox processes.
-Every out-of-process sandbox run (a subprocess, or a task on a local pool
-worker) holds one slot while it runs.
+``ExecutionConfig.resolved_workers()``, and shares it with its local
+:class:`~repro.execution.WorkerPool`; a standalone pool owns one of its own
+``max_workers`` slots.  One runner may be driven from several threads at
+once: an engine's sandbox threads (one execution group each) and its
+dispatch thread (campaigns, dataset validation, RLHF scoring) all run on the
+engine's runner.  Each of those calls may fan out to ``resolved_workers()``
+children, so without a shared cap their product — not ``max_workers`` —
+would bound the number of live sandbox processes.  Every out-of-process
+sandbox run holds exactly one slot while it runs: a subprocess from its
+start until it exits, and a local pool task from its submission until its
+future resolves.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Callable, Iterator
 
 
 class SandboxSlots:
@@ -33,23 +36,36 @@ class SandboxSlots:
         with self._cond:
             return self.total - self._free
 
-    @contextmanager
-    def claim(self, wanted: int = 1) -> Iterator[int]:
-        """Hold between one and ``wanted`` slots while the block runs.
+    def acquire(self, timeout: float | None = None) -> Callable[..., None] | None:
+        """Take one slot, waiting up to ``timeout`` seconds (forever on ``None``).
 
-        Blocks until at least one slot is free, then takes as many free
-        slots as it may (up to ``wanted``) and yields how many it took; the
-        caller runs at most that many sandbox workloads at once.  A claim
-        never waits while holding slots, so claims cannot deadlock.
+        Returns:
+            ``None`` when no slot came free in time; otherwise a function
+            that gives the slot back.  Only its first call does, so a pool
+            task's slot can be given back both when its future resolves and
+            when its batch collects it, whichever happens first.
         """
-        wanted = max(1, int(wanted))
         with self._cond:
-            self._cond.wait_for(lambda: self._free > 0)
-            granted = min(wanted, self._free)
-            self._free -= granted
-        try:
-            yield granted
-        finally:
+            if not self._cond.wait_for(lambda: self._free > 0, timeout):
+                return None
+            self._free -= 1
+        returned = False
+
+        def release(*_ignored: object) -> None:
+            nonlocal returned
             with self._cond:
-                self._free += granted
-                self._cond.notify_all()
+                if not returned:
+                    returned = True
+                    self._free += 1
+                    self._cond.notify_all()
+
+        return release
+
+    @contextmanager
+    def claim(self) -> Iterator[None]:
+        """Hold one slot while the block runs."""
+        release = self.acquire()
+        try:
+            yield
+        finally:
+            release()

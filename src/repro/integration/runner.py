@@ -327,7 +327,7 @@ class SandboxRunner:
             str(result_path),
         ]
         try:
-            with self.slots.claim(1):
+            with self.slots.claim():
                 completed = subprocess.run(
                     command,
                     capture_output=self._config.capture_output,
@@ -378,28 +378,9 @@ class SandboxRunner:
         pool = self._ensure_pool(mode)
         if timeout_seconds is None:
             timeout_seconds = self._config.test_timeout_seconds
-        if mode == "distributed":
-            # Only local pool workers hold sandbox slots (see SandboxSlots).
-            payloads = pool.run_batch(
-                target_name, module_sources, seed=seed, iterations=iterations, timeout_seconds=timeout_seconds
-            )
-            return [self._observation_from_pool(payload) for payload in payloads]
-        payloads = []
-        with self.slots.claim(min(len(module_sources), pool.max_workers)) as granted:
-            # Granted fewer slots than the pool has workers (other callers
-            # hold the rest): feed it chunks of that size, so no more tasks
-            # run at once than were granted.
-            step = len(module_sources) if granted >= pool.max_workers else granted
-            for start in range(0, len(module_sources), step):
-                payloads.extend(
-                    pool.run_batch(
-                        target_name,
-                        module_sources[start : start + step],
-                        seed=seed,
-                        iterations=iterations,
-                        timeout_seconds=timeout_seconds,
-                    )
-                )
+        payloads = pool.run_batch(
+            target_name, module_sources, seed=seed, iterations=iterations, timeout_seconds=timeout_seconds
+        )
         return [self._observation_from_pool(payload) for payload in payloads]
 
     # -- helpers ------------------------------------------------------------------
@@ -417,6 +398,8 @@ class SandboxRunner:
         if mode == "distributed":
             from ..distributed import DistributedPool
 
+            # Remote workers run on their own hosts' budgets: only local
+            # pool tasks hold this runner's slots (see SandboxSlots).
             return DistributedPool(
                 max_workers=workers,
                 task_timeout_seconds=self._config.test_timeout_seconds,
@@ -427,6 +410,7 @@ class SandboxRunner:
             max_workers=workers,
             task_timeout_seconds=self._config.test_timeout_seconds,
             resilience=self._resilience,
+            slots=self.slots,
         )
 
     def _scratch_file(self) -> Path:

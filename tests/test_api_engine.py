@@ -28,7 +28,7 @@ from repro.config import (
     RLHFConfig,
 )
 from repro.errors import EngineClosedError, RequestError
-from repro.execution import WorkerPool
+from repro.execution import pool as pool_module
 from repro.nlp import FaultSpecExtractor
 from repro.rng import SeededRNG
 from repro.targets import get_target
@@ -188,14 +188,27 @@ class TestSandboxSlots:
 
             monkeypatch.setattr(subprocess, "run", run)
         else:
-            real_batch = WorkerPool.run_batch
+            real_submit = pool_module._submit
 
-            def run_batch(pool, target_name, module_sources, **kwargs):
-                return counted(
-                    len(module_sources), lambda: real_batch(pool, target_name, module_sources, **kwargs)
-                )
+            def finished(_future) -> None:
+                nonlocal live
+                with lock:
+                    live -= 1
 
-            monkeypatch.setattr(WorkerPool, "run_batch", run_batch)
+            def submit(executor, task):
+                # A pool task counts from its submission until its future
+                # resolves; this callback runs before the one that frees its
+                # slot.
+                nonlocal live, peak
+                with lock:
+                    live += 1
+                    peak = max(peak, live)
+                time.sleep(0.2)  # long enough for the groups to overlap
+                future = real_submit(executor, task)
+                future.add_done_callback(finished)
+                return future
+
+            monkeypatch.setattr(pool_module, "_submit", submit)
 
         config = PipelineConfig(
             execution=ExecutionConfig(max_workers=2),

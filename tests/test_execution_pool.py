@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import sys
 import threading
-import time
 
 import pytest
 
 from repro.config import ExecutionConfig, IntegrationConfig, PipelineConfig
 from repro.errors import ConfigurationError
 from repro.execution import SandboxSlots, WorkerPool, resolve_workers, worker_cap
+from repro.execution import pool as pool_module
 from repro.execution.cache import HashKeyedCache, cache_stats
 from repro.injection import FaultLoad, ProgrammableInjector, ast_utils
 from repro.injection.ast_utils import PARSE_CACHE
@@ -30,6 +30,8 @@ EXIT_ON_LOAD = "import os\nos._exit(7)\n"
 SILENT_EXIT_ON_LOAD = "import os\nos._exit(0)\n"
 #: Leaves stdout without a trailing newline when the module loads.
 UNTERMINATED_WRITE_ON_LOAD = "import sys\nsys.stdout.write('x')\n"
+#: Swallows the in-worker alarm, so only the parent-side backstop ends it.
+WEDGE_ON_LOAD = "import time\nwhile True:\n    try:\n        time.sleep(60)\n    except BaseException:\n        pass\n"
 #: Prints to both streams, flushed, when the module loads.
 PRINT_ON_LOAD = "import sys\nprint('mutant says hello', flush=True)\nprint('mutant warns', file=sys.stderr, flush=True)\n"
 
@@ -96,6 +98,16 @@ class TestWorkerPool:
                 "bank", [bank_source, bank_source + HANG_ON_LOAD, bank_source], iterations=10
             )
         assert [p["status"] for p in payloads] == ["ok", "timeout", "ok"]
+
+    def test_a_wedged_task_holding_the_only_slot_is_cut_at_its_backstop(self, monkeypatch, bank_source):
+        # The batch's second task waits for the slot the wedged first task
+        # holds, so the wait itself must end that task at its backstop.
+        monkeypatch.setattr(pool_module, "_BACKSTOP_GRACE_SECONDS", 0.5)
+        with WorkerPool(max_workers=1, task_timeout_seconds=0.5) as pool:
+            payloads = pool.run_batch("bank", [bank_source + WEDGE_ON_LOAD, bank_source], iterations=5)
+            assert pool.slots.in_use == 0
+            assert pool.stats()["pool_rebuilds"] >= 1
+        assert [p["status"] for p in payloads] == ["timeout", "ok"]
 
     def test_concurrent_batches_share_the_pool(self, bank_source):
         """Batches beside a hung one finish first, and no task goes uncounted."""
@@ -185,26 +197,24 @@ class TestSandboxRunnerBatches:
     def test_empty_batch_is_a_no_op(self, runner):
         assert runner.run_batch("bank", [], mode="pool") == []
 
-    def test_pool_batch_granted_fewer_slots_runs_in_chunks(self, monkeypatch, bank_source):
-        chunks: list[int] = []
-        real_batch = WorkerPool.run_batch
-
-        def run_batch(pool, target_name, module_sources, **kwargs):
-            chunks.append(len(module_sources))
-            return real_batch(pool, target_name, module_sources, **kwargs)
-
-        monkeypatch.setattr(WorkerPool, "run_batch", run_batch)
-        with SandboxRunner(execution=ExecutionConfig(max_workers=2)) as sandbox:
-            slots = sandbox.slots
-            sources = [bank_source, bank_source + "\nBROKEN = (\n", bank_source]
-            with slots.claim(1):  # another caller holds one of the two slots
+    def test_a_task_waits_for_a_slot_not_for_its_batch(self, tmp_path, bank_source):
+        # Four slots, one held by another caller: the gated task runs until
+        # the batch's last task has run, which needs a slot that only a short
+        # task can free while the gated one still holds its own.
+        gate = tmp_path / "last-task-ran"
+        gated = bank_source + (
+            "\nimport os as _os, time as _time\n"
+            f"while not _os.path.exists({str(gate)!r}):\n"
+            "    _time.sleep(0.005)\n"
+        )
+        marks = [tmp_path / "first", tmp_path / "second", gate]
+        sources = [gated] + [bank_source + f"\nopen({str(mark)!r}, 'w').close()\n" for mark in marks]
+        integration = IntegrationConfig(test_timeout_seconds=5.0)
+        with SandboxRunner(integration, execution=ExecutionConfig(max_workers=4)) as sandbox:
+            with sandbox.slots.claim():
                 observations = sandbox.run_batch("bank", sources, mode="pool", iterations=5)
-            assert chunks == [1, 1, 1]
-            assert [o.completed for o in observations] == [True, False, True]
-            chunks.clear()
-            sandbox.run_batch("bank", sources, mode="pool", iterations=5)
-            assert chunks == [3]  # both slots free: the pool's own size bounds it
-        assert slots.in_use == 0
+            assert sandbox.slots.in_use == 0
+        assert [o.completed for o in observations] == [True] * 4, [o.timed_out for o in observations]
 
     def test_threads_driving_one_runner_share_its_pool_and_slots(self, monkeypatch):
         # More threads than cores run two-task batches for two targets on one
@@ -212,20 +222,25 @@ class TestSandboxRunnerBatches:
         # at once, and every slot comes back.
         live = peak = 0
         lock = threading.Lock()
-        real_batch = WorkerPool.run_batch
+        real_submit = pool_module._submit
 
-        def run_batch(pool, target_name, module_sources, **kwargs):
+        def finished(_future) -> None:
+            nonlocal live
+            with lock:
+                live -= 1
+
+        def submit(executor, task):
+            # A task counts from its submission until its future resolves;
+            # this callback runs before the one that frees its slot.
             nonlocal live, peak
             with lock:
-                live += len(module_sources)
+                live += 1
                 peak = max(peak, live)
-            try:
-                return real_batch(pool, target_name, module_sources, **kwargs)
-            finally:
-                with lock:
-                    live -= len(module_sources)
+            future = real_submit(executor, task)
+            future.add_done_callback(finished)
+            return future
 
-        monkeypatch.setattr(WorkerPool, "run_batch", run_batch)
+        monkeypatch.setattr(pool_module, "_submit", submit)
         sources = {name: get_target(name).build_source() for name in ("bank", "kvstore")}
         batches: list = []
         previous = sys.getswitchinterval()
@@ -256,22 +271,32 @@ class TestSandboxRunnerBatches:
 
 
 class TestSandboxSlots:
-    def test_a_claim_takes_what_is_free_and_waits_for_one(self):
-        slots = SandboxSlots(3)
-        granted: list[int] = []
+    def test_a_claim_holds_one_slot_and_waits_for_a_free_one(self):
+        slots = SandboxSlots(2)
+        taken = threading.Event()
 
         def late_claim() -> None:
-            with slots.claim(2) as count:
-                granted.append(count)
+            with slots.claim():
+                taken.set()
 
-        with slots.claim(2) as first, slots.claim(5) as second:
-            assert (first, second, slots.in_use) == (2, 1, 3)
+        with slots.claim(), slots.claim():
+            assert slots.in_use == 2
+            assert slots.acquire(timeout=0) is None
             waiter = threading.Thread(target=late_claim)
             waiter.start()
-            time.sleep(0.05)
-            assert granted == []  # no slot is free
+            assert not taken.wait(0.05)  # no slot is free
         waiter.join(timeout=5)
-        assert granted == [2]
+        assert taken.is_set() and not waiter.is_alive()
+        assert slots.in_use == 0
+
+    def test_a_slot_is_given_back_once(self):
+        slots = SandboxSlots(2)
+        release = slots.acquire()
+        held = slots.acquire()
+        release()
+        release()  # a pool task's future and its batch both give it back
+        assert slots.in_use == 1
+        held()
         assert slots.in_use == 0
 
 
