@@ -5,7 +5,6 @@ The repo commits the benchmark trajectory under ``benchmarks/results/*.json``
 and promises floors in ROADMAP.md (pooled execution >= 3x, pooled dataset
 generation >= 2x, batched policy inference >= 3x, compiled grammar decode
 >= 3x, concurrent engine serving >= 3x, concurrent HTTP serving >= 3x,
-4-shard serving >= 2.5x with byte-identical payloads,
 supervised execution overhead <= ~10%, chaos recovery byte-identical).
 CI runs this script against the
 committed full-mode numbers *and* against the quick-mode smoke output
@@ -91,18 +90,6 @@ FLOORS: list[tuple[str, str, tuple[str, ...], float]] = [
         "concurrent HTTP clients vs serial legacy API",
         ("serving", "speedup"),
         3.0,
-    ),
-    (
-        "sharded_serving.json",
-        "4-shard serving vs single engine",
-        ("serving", "speedup"),
-        2.5,
-    ),
-    (
-        "sharded_serving.json",
-        "sharded payloads byte-identical to single engine",
-        ("serving", "identical"),
-        1.0,
     ),
     (
         "distributed.json",

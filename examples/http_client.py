@@ -108,12 +108,8 @@ def main() -> None:
         # 3. Serving observability, decoded into the typed stats document.
         _, body = call(url, "/v1/stats")
         stats = StatsSnapshot.from_dict(body)
-        if stats.shards:  # routed through a sharded front-end
-            depths = {info.index: info.queue_depth for info in stats.shards}
-            print(f"requests_total={stats.aggregate['requests_total']} shard-depths={depths}")
-        else:
-            sizes = [b["size"] for b in stats.scheduler["batches"] if b["kind"] == "generate"]
-            print(f"requests_total={stats.server['requests_total']} generate-batches={sizes}")
+        sizes = [b["size"] for b in stats.scheduler["batches"] if b["kind"] == "generate"]
+        print(f"requests_total={stats.server['requests_total']} generate-batches={sizes}")
     finally:
         if server is not None:
             server.close()

@@ -35,7 +35,6 @@ from .responses import (
     GeneratePayload,
     Response,
     RLHFPayload,
-    ShardInfo,
     StatsSnapshot,
     Timings,
     WirePayload,
@@ -64,7 +63,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "Scheduler",
     "SchedulerStats",
-    "ShardInfo",
     "StatsSnapshot",
     "Ticket",
     "Timings",

@@ -299,7 +299,7 @@ class FaultInjectionEngine:
         """How many circuit breakers are currently open (failing fast).
 
         Surfaced on ``GET /healthz`` so load balancers can route around a
-        shard whose execution planes are refusing work.
+        server whose execution planes are refusing work.
         """
         return sum(
             1

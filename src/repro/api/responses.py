@@ -376,96 +376,22 @@ class ExecutionStats:
 
 
 @dataclass(frozen=True)
-class ShardInfo:
-    """One engine shard as seen by the sharded front-end (docs/SHARDING.md).
-
-    ``respawns`` counts supervision restarts of this shard's worker process
-    (the shard-level analogue of the pool's ``pool_rebuilds``); gauges
-    (``queue_depth``, ``open_breakers``) are the shard's own at snapshot
-    time.  ``stats`` optionally embeds the shard's full stats snapshot as
-    plain wire data (``None`` when the shard was unreachable).
-    """
-
-    index: int
-    url: str
-    alive: bool = True
-    respawns: int = 0
-    queue_depth: int = 0
-    draining: bool = False
-    open_breakers: int = 0
-    stats: Mapping[str, Any] | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-able view; ``stats`` is omitted when not captured."""
-        data: dict[str, Any] = {
-            "index": self.index,
-            "url": self.url,
-            "alive": self.alive,
-            "respawns": self.respawns,
-            "queue_depth": self.queue_depth,
-            "draining": self.draining,
-            "open_breakers": self.open_breakers,
-        }
-        if self.stats is not None:
-            data["stats"] = dict(self.stats)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ShardInfo":
-        """Decode the wire view; unknown fields are rejected by name.
-
-        Raises:
-            RequestError: On non-object data, unknown fields, or malformed
-                field values.
-        """
-        data = _require_mapping("shard info", data)
-        _reject_unknown_fields(
-            "shard info",
-            data,
-            {"index", "url", "alive", "respawns", "queue_depth", "draining",
-             "open_breakers", "stats"},
-        )
-        stats = data.get("stats")
-        if stats is not None:
-            stats = dict(_require_mapping("shard info 'stats'", stats))
-        try:
-            return cls(
-                index=int(data.get("index", 0)),
-                url=str(data.get("url", "")),
-                alive=bool(data.get("alive", True)),
-                respawns=int(data.get("respawns", 0)),
-                queue_depth=int(data.get("queue_depth", 0)),
-                draining=bool(data.get("draining", False)),
-                open_breakers=int(data.get("open_breakers", 0)),
-                stats=stats,
-            )
-        except (TypeError, ValueError) as exc:
-            raise RequestError(f"malformed shard info: {exc}") from exc
-
-
-@dataclass(frozen=True)
 class StatsSnapshot:
     """The typed, versioned ``GET /v1/stats`` body.
 
-    In the single-engine topology the snapshot carries the front-end's
-    ``server`` counters plus the engine's ``scheduler``/``execution``/
-    ``caches`` sections — byte-identical on the wire to the historical
-    ad-hoc dict.  In the sharded topology the engine sections live inside
-    each :class:`ShardInfo` instead, and ``aggregate`` carries the
-    cross-shard view (monotonic counters accumulate across shard respawns;
-    see docs/SHARDING.md).
+    The snapshot carries the front-end's ``server`` counters plus the
+    engine's ``scheduler``/``execution``/``caches`` sections — byte-identical
+    on the wire to the historical ad-hoc dict.
     """
 
     server: Mapping[str, Any]
     scheduler: Mapping[str, Any] | None = None
     execution: ExecutionStats | None = None
     caches: Mapping[str, CacheStats] | None = None
-    shards: tuple[ShardInfo, ...] = ()
-    aggregate: Mapping[str, Any] | None = None
     schema_version: str = SCHEMA_VERSION
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-able view; topology-absent sections are omitted entirely."""
+        """JSON-able view; absent sections are omitted entirely."""
         data: dict[str, Any] = {
             "schema_version": self.schema_version,
             "server": dict(self.server),
@@ -476,18 +402,13 @@ class StatsSnapshot:
             data["execution"] = self.execution.to_dict()
         if self.caches is not None:
             data["caches"] = {name: cache.to_dict() for name, cache in self.caches.items()}
-        if self.shards:
-            data["shards"] = [shard.to_dict() for shard in self.shards]
-        if self.aggregate is not None:
-            data["aggregate"] = dict(self.aggregate)
         return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "StatsSnapshot":
         """Decode a wire stats body back into the typed snapshot.
 
-        ``StatsSnapshot.from_dict(s.to_dict())`` round-trips byte-exactly in
-        both topologies.
+        ``StatsSnapshot.from_dict(s.to_dict())`` round-trips byte-exactly.
 
         Raises:
             RequestError: On non-object data, unknown fields, a missing
@@ -497,8 +418,7 @@ class StatsSnapshot:
         _reject_unknown_fields(
             "stats snapshot",
             data,
-            {"schema_version", "server", "scheduler", "execution", "caches",
-             "shards", "aggregate"},
+            {"schema_version", "server", "scheduler", "execution", "caches"},
         )
         if "server" not in data:
             raise RequestError("stats snapshot is missing its 'server' section")
@@ -515,19 +435,11 @@ class StatsSnapshot:
                 str(name): CacheStats.from_dict(cache)
                 for name, cache in _require_mapping("stats snapshot 'caches'", caches).items()
             }
-        shards_data = data.get("shards", [])
-        if not isinstance(shards_data, (list, tuple)):
-            raise RequestError("stats snapshot 'shards' must be a JSON array")
-        aggregate = data.get("aggregate")
-        if aggregate is not None:
-            aggregate = dict(_require_mapping("stats snapshot 'aggregate'", aggregate))
         return cls(
             server=server,
             scheduler=scheduler,
             execution=execution,
             caches=caches,
-            shards=tuple(ShardInfo.from_dict(entry) for entry in shards_data),
-            aggregate=aggregate,
             schema_version=str(data.get("schema_version", SCHEMA_VERSION)),
         )
 

@@ -84,28 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="bind port, 0 = ephemeral (alias for ServerConfig.port)",
     )
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "run N engine worker processes behind a consistent-hash router "
-            "(1 = classic single-engine serving; ServerConfig.shards, see "
-            "docs/SHARDING.md)"
-        ),
-    )
-    serve.add_argument(
-        "--shard-queue-depth",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "per-shard admission bound: each shard sheds its own submissions "
-            "with HTTP 429 at N queued tickets (default: --max-queue-depth; "
-            "ServerConfig.shard_queue_depth)"
-        ),
-    )
     serve.add_argument("--mode", default=None, help="default sandbox mode: inprocess|subprocess|pool|distributed")
     serve.add_argument("--max-workers", type=int, default=None, help="sandbox worker pool size")
     serve.add_argument(
@@ -203,19 +181,7 @@ def _serve_command(args: argparse.Namespace) -> int:
     from .server import FaultInjectionServer
 
     try:
-        # Shard worker processes receive their full pipeline configuration
-        # through the environment (the router serializes it), so a worker is
-        # an exact replica of the front-end's stack with the shard topology
-        # baked into the server section.
-        from .server.sharding import SHARD_CONFIG_ENV
-
-        inherited = os.environ.get(SHARD_CONFIG_ENV)
-        if inherited:
-            config = PipelineConfig.from_dict(json.loads(inherited))
-            if args.seed is not None:
-                config = replace(config, seed=args.seed)
-        else:
-            config = PipelineConfig(seed=args.seed) if args.seed is not None else PipelineConfig()
+        config = PipelineConfig(seed=args.seed) if args.seed is not None else PipelineConfig()
         execution = config.execution
         if args.mode is not None:
             execution = replace(execution, default_mode=args.mode)

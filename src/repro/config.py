@@ -419,16 +419,8 @@ class ServerConfig:
     ``max_queue_depth`` is the admission-control bound: request submissions
     arriving while the engine scheduler already holds that many queued
     tickets are shed with HTTP 429 and a ``Retry-After`` of
-    ``retry_after_seconds`` (``0`` disables shedding).
-
-    ``shards`` selects the serving topology: ``1`` (the default) runs the
-    classic single-engine front-end, while ``N > 1`` runs N engine worker
-    processes behind a consistent-hash router (docs/SHARDING.md) — each
-    shard owns a full engine/scheduler/pool stack and requests for one
-    target always land on the same shard.  ``shard_queue_depth`` bounds each
-    shard's own scheduler queue for per-shard admission control (``None``
-    inherits ``max_queue_depth``); a dataset burst can then saturate one
-    shard's queue without shedding generate traffic routed elsewhere.
+    ``retry_after_seconds`` (``0`` disables shedding).  The server runs one
+    engine; its sandbox slots come from ``ExecutionConfig.max_workers``.
     """
 
     host: str = "127.0.0.1"
@@ -438,16 +430,12 @@ class ServerConfig:
     drain_timeout_seconds: float = 30.0
     max_queue_depth: int = 128
     retry_after_seconds: float = 1.0
-    shards: int = 1
-    shard_queue_depth: int | None = None
 
     #: serve CLI flag -> ServerConfig field consumed by :meth:`from_args`.
     _ARG_FIELDS = (
         ("host", "host"),
         ("port", "port"),
         ("max_queue_depth", "max_queue_depth"),
-        ("shards", "shards"),
-        ("shard_queue_depth", "shard_queue_depth"),
     )
 
     def __post_init__(self) -> None:
@@ -465,31 +453,17 @@ class ServerConfig:
             raise ConfigurationError("max_queue_depth must be non-negative (0 disables shedding)")
         if self.retry_after_seconds <= 0:
             raise ConfigurationError("retry_after_seconds must be positive")
-        if self.shards <= 0:
-            raise ConfigurationError("shards must be positive (1 = single-engine serving)")
-        if self.shard_queue_depth is not None and self.shard_queue_depth < 0:
-            raise ConfigurationError(
-                "shard_queue_depth must be non-negative when set (0 disables shedding)"
-            )
-
-    def resolved_shard_queue_depth(self) -> int:
-        """The per-shard admission bound actually applied to shard engines."""
-        return (
-            self.shard_queue_depth
-            if self.shard_queue_depth is not None
-            else self.max_queue_depth
-        )
 
     @classmethod
     def from_args(cls, args: Any, base: "ServerConfig | None" = None) -> "ServerConfig":
         """The single validated entry point from ``serve`` CLI flags.
 
-        The individual ``--host``/``--port``/``--max-queue-depth``/
-        ``--shards``/``--shard-queue-depth`` flags are aliases for the fields
-        of this dataclass; they are applied here in one place so every flag
-        combination goes through ``__post_init__`` validation.  ``args`` may
-        be an ``argparse.Namespace`` or any object with the flag attributes
-        (missing/``None`` attributes keep the base value).
+        The individual ``--host``/``--port``/``--max-queue-depth`` flags are
+        aliases for the fields of this dataclass; they are applied here in
+        one place so every flag combination goes through ``__post_init__``
+        validation.  ``args`` may be an ``argparse.Namespace`` or any object
+        with the flag attributes (missing/``None`` attributes keep the base
+        value).
 
         Args:
             args: Parsed CLI arguments (attributes named after the flags).
@@ -509,23 +483,6 @@ class ServerConfig:
         from dataclasses import replace
 
         return replace(config, **overrides)
-
-    def shard_child(self) -> "ServerConfig":
-        """The configuration one shard worker process serves with.
-
-        Shards bind loopback ephemeral ports behind the router, run the
-        single-engine topology, and apply the per-shard admission bound.
-        """
-        from dataclasses import replace
-
-        return replace(
-            self,
-            host="127.0.0.1",
-            port=0,
-            shards=1,
-            shard_queue_depth=None,
-            max_queue_depth=self.resolved_shard_queue_depth(),
-        )
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)

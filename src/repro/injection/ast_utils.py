@@ -320,7 +320,11 @@ def replace_function_source(module_source: str, function_name: str, new_function
 
 
 def ensure_import(tree: ast.Module, module_name: str) -> ast.Module:
-    """Return ``tree`` with a top-level ``import module_name`` guaranteed."""
+    """Return ``tree`` with a top-level ``import module_name`` guaranteed.
+
+    A new import goes after the module docstring and any ``from __future__``
+    imports, which must precede it.
+    """
     for node in tree.body:
         if isinstance(node, ast.Import) and any(alias.name == module_name for alias in node.names):
             return tree
@@ -330,6 +334,12 @@ def ensure_import(tree: ast.Module, module_name: str) -> ast.Module:
     insert_at = 0
     if tree.body and isinstance(tree.body[0], ast.Expr) and isinstance(tree.body[0].value, ast.Constant):
         insert_at = 1  # keep a module docstring first
+    while (
+        insert_at < len(tree.body)
+        and isinstance(tree.body[insert_at], ast.ImportFrom)
+        and tree.body[insert_at].module == "__future__"
+    ):
+        insert_at += 1  # future imports must come before any other statement
     tree.body.insert(insert_at, ast.fix_missing_locations(import_node))
     return tree
 

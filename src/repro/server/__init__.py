@@ -23,23 +23,13 @@ serving throughput comes from (see ``benchmarks/bench_http_serving.py``).
 Run it with ``python -m repro serve`` or embed :class:`FaultInjectionServer`;
 docs/SERVING.md is the endpoint reference.
 
-With ``ServerConfig(shards=N)`` (``python -m repro serve --shards N``) the
-same front-end becomes a consistent-hash router over N engine worker
-processes — each owning a full engine/scheduler/pool stack — so per-target
-state stays hot on exactly one shard and heavyweight bursts saturate one
-shard's queue without delaying traffic routed elsewhere.  docs/SHARDING.md
-covers the routing rule, drain fan-out, supervision, and stats aggregation;
-``benchmarks/bench_sharded_serving.py`` pins the scaling.
+One server runs one engine: its sandbox slots (``--max-workers``, capped by
+``repro.execution.worker_cap()``) bound every sandbox run it makes.
 """
 
 from .http_server import FaultInjectionServer, serve
-from .sharding import HashRing, ShardManager, ShardUnavailableError, routing_key
 
 __all__ = [
     "FaultInjectionServer",
-    "HashRing",
-    "ShardManager",
-    "ShardUnavailableError",
-    "routing_key",
     "serve",
 ]

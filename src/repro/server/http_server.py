@@ -39,7 +39,6 @@ same structured shape as an error envelope: ``{"status": "error", "error":
 
 from __future__ import annotations
 
-import itertools
 import json
 import threading
 import time
@@ -58,8 +57,7 @@ from ..api import (
     request_from_dict,
 )
 from ..config import PipelineConfig, ServerConfig
-from ..errors import AdmissionError, ConfigurationError, EngineClosedError, ReproError, RequestError
-from .sharding import ShardManager, ShardUnavailableError, routing_key
+from ..errors import AdmissionError, EngineClosedError, ReproError, RequestError
 
 #: Error types that map to client-fault HTTP statuses.
 _STATUS_BY_ERROR_TYPE = {
@@ -254,9 +252,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         if path.startswith("/v1/requests/"):
             request_id = path.removeprefix("/v1/requests/")
-            if method in ("GET", "DELETE") and self.app.sharded:
-                self._proxy_ticket(method, request_id)
-            elif method == "GET":
+            if method == "GET":
                 self._poll(request_id)
             elif method == "DELETE":
                 self._cancel(request_id)
@@ -305,9 +301,6 @@ class _Handler(BaseHTTPRequestHandler):
         wants_async = any(
             value.lower() in _TRUTHY for value in query.get("async", [])
         )
-        if self.app.sharded:
-            self._proxy_submit(kind, body, data, wants_async)
-            return
         try:
             self.app._admit()
             request = request_from_dict(kind, data)
@@ -403,104 +396,6 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return
         self._send_envelope(entry.result())
-
-    # -- sharded proxying --------------------------------------------------------
-
-    def _proxy_submit(self, kind: str, body: bytes, data, wants_async: bool) -> None:
-        """Route one submission to its shard and relay the response verbatim.
-
-        The shard is picked by consistent hash of the request's routing key
-        (docs/SHARDING.md), so per-target state stays hot on one engine.
-        Admission control is per shard: a saturated shard's 429 travels back
-        unchanged while other shards keep accepting.  Async submissions
-        without a ``request_id`` get a router-assigned one (engine-assigned
-        ids are only unique within one shard), and accepted tickets are
-        remembered so polls go straight to the owning shard.
-        """
-        key = routing_key(kind, data)
-        index = self.app._shards.shard_for(key)
-        request_id = data.get("request_id") if isinstance(data, dict) else None
-        if wants_async and isinstance(data, dict) and not data.get("request_id"):
-            request_id = self.app._next_routed_id()
-            data = dict(data)
-            data["request_id"] = request_id
-            body = json.dumps(data).encode("utf-8")
-        path = f"/v1/{kind}" + ("?async=1" if wants_async else "")
-        try:
-            status, headers, payload = self.app._shards.request(index, "POST", path, body)
-        except ShardUnavailableError as exc:
-            self._send_json(
-                503,
-                self._error_body(
-                    ErrorInfo("EngineClosedError", str(exc), kind="unavailable"), kind=kind
-                ),
-                headers=self.app._retry_after_headers(),
-            )
-            return
-        if wants_async and status == 202 and isinstance(request_id, str):
-            self.app._remember_route(request_id, index)
-        self._relay(status, headers, payload)
-
-    def _proxy_ticket(self, method: str, request_id: str) -> None:
-        """Route a ticket poll/cancel to its shard (fan-out when unknown).
-
-        The router remembers which shard accepted each async id; ids it no
-        longer knows (evicted route, router restart) fan out across all
-        shards in index order — the owning shard answers non-404, and a
-        uniform 404 means no shard tracks the ticket.
-        """
-        known = self.app._route_for(request_id)
-        order = list(range(self.app.server_config.shards))
-        if known is not None:
-            order.remove(known)
-            order.insert(0, known)
-        not_found = None
-        unreachable = 0
-        for index in order:
-            try:
-                status, headers, payload = self.app._shards.request(
-                    index, method, f"/v1/requests/{request_id}"
-                )
-            except ShardUnavailableError:
-                unreachable += 1
-                continue
-            if status == 404:
-                not_found = (status, headers, payload)
-                continue
-            if status == 200:
-                # Final envelope delivered (poll) or ticket cancelled
-                # (DELETE) — the route entry is no longer needed.
-                self.app._forget_route(request_id)
-            self._relay(status, headers, payload)
-            return
-        if not_found is not None:
-            self._relay(*not_found)
-            return
-        self._send_json(
-            503,
-            self._error_body(
-                ErrorInfo(
-                    "EngineClosedError",
-                    f"no shard could be reached for request {request_id!r} "
-                    f"({unreachable} unreachable)",
-                    kind="unavailable",
-                )
-            ),
-            headers=self.app._retry_after_headers(),
-        )
-
-    def _relay(self, status: int, headers: dict, body: bytes) -> None:
-        """Forward a shard's response bytes verbatim (byte-identity path)."""
-        if status >= 400:
-            self.app._count_error()
-        self.send_response(status)
-        self.send_header("Content-Type", headers.get("Content-Type", "application/json"))
-        self.send_header("Content-Length", str(len(body)))
-        for name in ("Retry-After", "Allow"):
-            if name in headers:
-                self.send_header(name, headers[name])
-        self.end_headers()
-        self.wfile.write(body)
 
     # -- plumbing ----------------------------------------------------------------
 
@@ -608,21 +503,9 @@ class FaultInjectionServer:
         """
         self.config = engine.config if engine is not None else (config or PipelineConfig())
         self.server_config = server_config or self.config.server
-        self.sharded = self.server_config.shards > 1
-        if self.sharded and engine is not None:
-            raise ConfigurationError(
-                "a borrowed engine cannot be served sharded; shards own their engines"
-            )
-        self._shards: ShardManager | None = None
-        self._owns_engine = engine is None and not self.sharded
-        #: ``None`` in the sharded topology — engines live in shard workers.
-        self.engine = (
-            None if self.sharded else (engine or FaultInjectionEngine(self.config))
-        )
+        self._owns_engine = engine is None
+        self.engine = engine or FaultInjectionEngine(self.config)
         self._tickets = _TicketStore(self.server_config.request_retention)
-        self._routes: "OrderedDict[str, int]" = OrderedDict()
-        self._route_lock = threading.Lock()
-        self._route_ids = itertools.count(1)
         self._lock = threading.Lock()
         self._inflight = 0
         self._idle = threading.Condition(self._lock)
@@ -635,12 +518,6 @@ class FaultInjectionServer:
             (self.server_config.host, self.server_config.port), _Handler
         )
         self._httpd.app = self
-        if self.sharded:
-            try:
-                self._shards = ShardManager(self.config, self.server_config).start()
-            except BaseException:
-                self._httpd.server_close()
-                raise
 
     # -- addresses ---------------------------------------------------------------
 
@@ -696,11 +573,7 @@ class FaultInjectionServer:
                 if remaining <= 0:
                     break
                 self._idle.wait(remaining)
-        if self._shards is not None:
-            # Drain fan-out: every shard worker gets SIGINT concurrently and
-            # runs its own graceful drain before the router gives up on it.
-            self._shards.close()
-        elif self._owns_engine:
+        if self._owns_engine:
             # Graceful: queued tickets (async submissions included) resolve
             # before the scheduler thread and worker pools go away.
             self.engine.close()
@@ -726,30 +599,13 @@ class FaultInjectionServer:
         """The ``GET /healthz`` body: liveness plus routing signals.
 
         Beyond bare liveness, a front-end or load balancer gets what it needs
-        to route around a saturated shard: the scheduler's current
+        to route around a saturated server: the scheduler's current
         ``queue_depth``, whether this server is ``draining`` (graceful
         shutdown in progress), and how many circuit breakers are currently
-        ``open`` (execution planes failing fast).  In the sharded topology
-        the gauges aggregate across every shard — ``open_breakers`` is the
-        fleet-wide sum, not one engine's — and the body additionally carries
-        ``shards``/``degraded_shards`` (a shard mid-respawn is degraded);
-        ``status`` turns ``"degraded"`` while any shard is unreachable.
+        ``open`` (execution planes failing fast).
         """
         with self._lock:
             draining = self._draining
-        if self._shards is not None:
-            shard_health = self._shards.health()
-            alive = [body for body in shard_health if body is not None]
-            degraded = len(shard_health) - len(alive)
-            return {
-                "status": "ok" if degraded == 0 else "degraded",
-                "schema_version": SCHEMA_VERSION,
-                "queue_depth": sum(int(body.get("queue_depth", 0)) for body in alive),
-                "draining": draining,
-                "open_breakers": sum(int(body.get("open_breakers", 0)) for body in alive),
-                "shards": self.server_config.shards,
-                "degraded_shards": degraded,
-            }
         return {
             "status": "ok",
             "schema_version": SCHEMA_VERSION,
@@ -759,13 +615,9 @@ class FaultInjectionServer:
         }
 
     def stats_snapshot(self) -> StatsSnapshot:
-        """The typed ``GET /v1/stats`` body (see :class:`~repro.api.StatsSnapshot`).
-
-        Single-engine topology: front-end counters plus the engine's
-        scheduler/execution/cache sections.  Sharded topology: per-shard
-        sections (each embedding that shard's own snapshot) plus the
-        monotonic cross-shard ``aggregate``.
-        """
+        """The typed ``GET /v1/stats`` body (see :class:`~repro.api.StatsSnapshot`):
+        front-end counters plus the engine's scheduler/execution/cache
+        sections."""
         with self._lock:
             server = {
                 "requests_total": self._requests_total,
@@ -773,15 +625,6 @@ class FaultInjectionServer:
                 "inflight": self._inflight,
                 "draining": self._draining,
             }
-        if self._shards is not None:
-            with self._route_lock:
-                server["tickets"] = {"routed": len(self._routes)}
-            infos = self._shards.shard_infos(self._shards.snapshots())
-            return StatsSnapshot(
-                server=server,
-                shards=infos,
-                aggregate=self._shards.aggregate(infos),
-            )
         server["tickets"] = self._tickets.counts()
         return StatsSnapshot(
             server=server,
@@ -793,39 +636,6 @@ class FaultInjectionServer:
     def stats(self) -> dict:
         """Serving counters, scheduler behaviour, and cache hit rates."""
         return self.stats_snapshot().to_dict()
-
-    # -- sharded routing bookkeeping ---------------------------------------------
-
-    def _next_routed_id(self) -> str:
-        """A router-unique id for async submissions that did not bring one.
-
-        Engine-assigned ids (``req-NNNNNN``) are only unique within one
-        shard process, so the router must mint the id before the submission
-        leaves for a shard.
-        """
-        return f"req-r{next(self._route_ids):06d}"
-
-    def _remember_route(self, request_id: str, index: int) -> None:
-        """Map an accepted async ticket to its owning shard (bounded).
-
-        Retention mirrors the single-engine ticket store: the map is bounded
-        at ``request_retention`` entries per shard; evicted ids fall back to
-        the poll fan-out (the owning shard still holds the ticket).
-        """
-        bound = max(1, self.server_config.request_retention) * self.server_config.shards
-        with self._route_lock:
-            self._routes[request_id] = index
-            self._routes.move_to_end(request_id)
-            while len(self._routes) > bound:
-                self._routes.popitem(last=False)
-
-    def _route_for(self, request_id: str) -> int | None:
-        with self._route_lock:
-            return self._routes.get(request_id)
-
-    def _forget_route(self, request_id: str) -> None:
-        with self._route_lock:
-            self._routes.pop(request_id, None)
 
     # -- handler hooks -----------------------------------------------------------
 

@@ -169,29 +169,11 @@ class TestDistributedFlags:
 
 
 class TestServeCommand:
-    def test_sharding_flags_parse(self):
-        args = build_parser().parse_args(
-            ["serve", "--shards", "4", "--shard-queue-depth", "16"]
-        )
-        assert args.shards == 4
-        assert args.shard_queue_depth == 16
-        # Omitted flags stay None so ServerConfig.from_args keeps base values.
-        defaults = build_parser().parse_args(["serve"])
-        assert defaults.shards is None and defaults.shard_queue_depth is None
-
-    def test_serve_help_documents_sharding(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--help"])
-        text = capsys.readouterr().out
-        assert "--shards N" in text
-        assert "--shard-queue-depth N" in text
-        assert "consistent-hash" in text
-
-    def test_invalid_shards_flag_exits_with_code_two(self, capsys):
-        exit_code = main(["serve", "--port", "0", "--shards", "0"])
+    def test_invalid_server_flag_exits_with_code_two(self, capsys):
+        exit_code = main(["serve", "--port", "0", "--max-queue-depth", "-1"])
         captured = capsys.readouterr()
         assert exit_code == 2
-        assert "shards must be positive" in captured.err
+        assert "max_queue_depth must be non-negative" in captured.err
 
     def test_bind_failure_exits_with_code_two(self, capsys):
         import socket

@@ -67,62 +67,26 @@ class TestScheduleConfigs:
 
 
 class TestServerConfig:
-    def test_rejects_non_positive_shards(self):
-        with pytest.raises(ConfigurationError, match="shards must be positive"):
-            ServerConfig(shards=0)
-
-    def test_rejects_negative_shard_queue_depth(self):
-        with pytest.raises(ConfigurationError, match="shard_queue_depth"):
-            ServerConfig(shard_queue_depth=-1)
-
-    def test_shard_queue_depth_inherits_the_global_bound(self):
-        assert ServerConfig(max_queue_depth=32).resolved_shard_queue_depth() == 32
-        assert (
-            ServerConfig(max_queue_depth=32, shard_queue_depth=8).resolved_shard_queue_depth()
-            == 8
-        )
-        # 0 is a real override (shedding disabled per shard), not "unset".
-        assert (
-            ServerConfig(max_queue_depth=32, shard_queue_depth=0).resolved_shard_queue_depth()
-            == 0
-        )
-
     def test_from_args_applies_every_serve_flag(self):
-        args = argparse.Namespace(
-            host="0.0.0.0", port=9000, max_queue_depth=7, shards=4, shard_queue_depth=3
-        )
+        args = argparse.Namespace(host="0.0.0.0", port=9000, max_queue_depth=7)
         config = ServerConfig.from_args(args)
         assert (config.host, config.port) == ("0.0.0.0", 9000)
         assert config.max_queue_depth == 7
-        assert (config.shards, config.shard_queue_depth) == (4, 3)
 
     def test_from_args_keeps_base_values_for_omitted_flags(self):
-        base = ServerConfig(host="10.0.0.1", port=8123, shards=2)
+        base = ServerConfig(host="10.0.0.1", port=8123, max_queue_depth=2)
         args = argparse.Namespace(host=None, port=None, max_queue_depth=None)
         config = ServerConfig.from_args(args, base=base)
         assert config == base
 
     def test_from_args_validates_the_combination(self):
-        with pytest.raises(ConfigurationError, match="shards must be positive"):
-            ServerConfig.from_args(argparse.Namespace(shards=-2))
-
-    def test_shard_child_runs_the_single_engine_topology(self):
-        parent = ServerConfig(
-            host="0.0.0.0", port=8080, shards=4, max_queue_depth=64, shard_queue_depth=16
-        )
-        child = parent.shard_child()
-        assert (child.host, child.port) == ("127.0.0.1", 0)
-        assert child.shards == 1 and child.shard_queue_depth is None
-        assert child.max_queue_depth == 16
-        # Everything else is inherited unchanged.
-        assert child.drain_timeout_seconds == parent.drain_timeout_seconds
-        assert child.request_retention == parent.request_retention
+        with pytest.raises(ConfigurationError, match="max_queue_depth must be non-negative"):
+            ServerConfig.from_args(argparse.Namespace(max_queue_depth=-2))
 
     def test_round_trips_through_pipeline_config(self):
-        config = PipelineConfig(server=ServerConfig(shards=3, shard_queue_depth=5))
+        config = PipelineConfig(server=ServerConfig(max_queue_depth=3, retry_after_seconds=5.0))
         rebuilt = PipelineConfig.from_dict(config.to_dict())
-        assert rebuilt.server.shards == 3
-        assert rebuilt.server.shard_queue_depth == 5
+        assert rebuilt.server == config.server
 
 
 class TestPipelineConfig:
@@ -156,6 +120,7 @@ class TestPipelineConfig:
         ({"execution": {"distributed": {"prot": 9}}}, "unknown execution.distributed field(s): prot"),
         ({"resilience": {"chaos": {"crash": 1.0}}}, "unknown resilience.chaos field(s): crash"),
         ({"executon": {}}, "unknown pipeline field(s): executon"),
+        ({"server": {"shards": 4}}, "unknown server field(s): shards"),
     ])
     def test_from_dict_names_the_section_and_field_it_does_not_know(self, data, named):
         with pytest.raises(ConfigurationError) as caught:

@@ -100,6 +100,21 @@ class TestOperatorEdits:
             assert again == produced
             assert _cached_forms(source) == before
 
+    @pytest.mark.parametrize("source", SOURCES[:-1], ids=[t.name for t in all_targets()] + ["fixture"])
+    def test_an_added_import_follows_future_imports(self, source):
+        tree = ast.parse(source)
+        docstring_end = tree.body[0].end_lineno
+        lines = source.split("\n")
+        lines.insert(docstring_end, "from __future__ import annotations")
+        source = "\n".join(lines)
+        indices = [i for i, point in enumerate(_points(source)) if point.operator in TOP_LEVEL_OPERATORS[:3]]
+        assert indices
+        for index in indices:
+            produced, expected = _applications(source, index, seed=index)
+            assert produced == expected
+            assert produced[0] == "applied", produced
+            compile(produced[1]["mutated"], "<mutant>", "exec")
+
     def test_every_edit_path_is_exercised_on_the_fixture(self):
         """Spliced functions and methods, with and without an added import, and the fallback."""
         normal = ast_utils.normalised_source(FIXTURE)

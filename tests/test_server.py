@@ -25,7 +25,6 @@ from repro.api import (
     REQUEST_KINDS,
     Response,
     RLHFRequest,
-    ShardInfo,
     StatsSnapshot,
     Timings,
     WirePayload,
@@ -204,25 +203,6 @@ class TestStatsCodec:
         with pytest.raises(RequestError, match="bogus"):
             ExecutionStats.from_dict({"bogus": {}})
 
-    def test_shard_info_round_trips(self):
-        info = ShardInfo(
-            index=1,
-            url="http://127.0.0.1:9999",
-            respawns=2,
-            queue_depth=3,
-            open_breakers=1,
-            stats={"schema_version": "1.0", "server": {"requests_total": 9}},
-        )
-        wire = info.to_dict()
-        assert ShardInfo.from_dict(json.loads(json.dumps(wire))).to_dict() == wire
-
-    def test_shard_info_omits_stats_when_absent(self):
-        assert "stats" not in ShardInfo(index=0, url="").to_dict()
-
-    def test_shard_info_rejects_unknown_fields(self):
-        with pytest.raises(RequestError, match="weight"):
-            ShardInfo.from_dict({"index": 0, "url": "", "weight": 2})
-
     def test_snapshot_single_engine_round_trips(self):
         snapshot = StatsSnapshot(
             server={"requests_total": 3, "draining": False},
@@ -231,23 +211,9 @@ class TestStatsCodec:
             caches={"extract": CacheStats(hits=1)},
         )
         wire = snapshot.to_dict()
-        # The single-engine wire shape: no shards/aggregate keys at all.
         assert set(wire) == {"schema_version", "server", "scheduler", "execution", "caches"}
         decoded = StatsSnapshot.from_dict(json.loads(json.dumps(wire)))
         assert decoded.to_dict() == wire
-        assert decoded.shards == ()
-
-    def test_snapshot_sharded_round_trips(self):
-        snapshot = StatsSnapshot(
-            server={"requests_total": 5},
-            shards=(ShardInfo(index=0, url="http://h:1"), ShardInfo(index=1, url="http://h:2")),
-            aggregate={"requests_total": 5, "shards": 2},
-        )
-        wire = snapshot.to_dict()
-        assert set(wire) == {"schema_version", "server", "shards", "aggregate"}
-        decoded = StatsSnapshot.from_dict(json.loads(json.dumps(wire)))
-        assert decoded.to_dict() == wire
-        assert [shard.index for shard in decoded.shards] == [0, 1]
 
     def test_snapshot_requires_a_server_section(self):
         with pytest.raises(RequestError, match="server"):
@@ -256,11 +222,6 @@ class TestStatsCodec:
     def test_snapshot_rejects_unknown_fields(self):
         with pytest.raises(RequestError, match="telemetry"):
             StatsSnapshot.from_dict({"server": {}, "telemetry": {}})
-
-    def test_snapshot_rejects_non_array_shards(self):
-        with pytest.raises(RequestError):
-            StatsSnapshot.from_dict({"server": {}, "shards": {"0": {}}})
-
 
 @pytest.fixture(scope="module")
 def server():
@@ -424,9 +385,9 @@ class TestLiveServer:
             assert {"hits", "misses", "size"} <= set(stats["caches"][cache])
 
     def test_single_engine_stats_wire_shape_is_unchanged(self, server):
-        """Differential pin: ``--shards 1`` serving emits exactly the
-        historical single-engine stats document — the typed codec migration
-        must not change a byte of the key structure."""
+        """Differential pin: the server emits exactly the historical
+        single-engine stats document — the typed codec migration must not
+        change a byte of the key structure."""
         status, stats = _exchange(server, "GET", "/v1/stats")
         assert status == 200
         assert set(stats) == {"schema_version", "server", "scheduler", "execution", "caches"}
@@ -444,7 +405,6 @@ class TestLiveServer:
         # The document decodes losslessly through the typed codec.
         decoded = StatsSnapshot.from_dict(stats)
         assert decoded.to_dict() == stats
-        assert decoded.shards == () and decoded.aggregate is None
 
     def test_stats_endpoint_matches_typed_snapshot(self, server):
         """`/v1/stats` is exactly ``stats_snapshot().to_dict()``."""
