@@ -37,6 +37,7 @@ import signal
 import sys
 import threading
 import time
+from contextlib import nullcontext
 from concurrent.futures import CancelledError, Future, ProcessPoolExecutor, TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, NamedTuple
@@ -162,7 +163,7 @@ class WorkerPool:
     Several threads may run batches on one pool at once: their parallel
     rounds share the workers, while a suspected pool killer reruns on a
     private one-worker executor, so a worker death there is attributable to
-    its task alone.  Every task holds one of :attr:`slots` from its
+    its task alone.  With :attr:`slots`, every task holds one slot from its
     submission until its future resolves, and a task rerunning alone holds
     one too, so no more tasks run at once than there are slots.  The
     supervision counters are updated under the pool's lock.
@@ -186,8 +187,11 @@ class WorkerPool:
                 defaults to :class:`~repro.config.ResilienceConfig` (chaos
                 off).
             slots: The budget the pool's tasks hold slots of; a sandbox
-                runner passes the one its subprocess runs share.  Defaults
-                to a budget of the pool's own ``max_workers``.
+                runner passes the one its subprocess runs share.  A
+                standalone pool (``None``) shares its workers with nothing,
+                so their number is its only bound: it submits a round's
+                tasks at once, and a worker takes its next task without
+                waiting for the parent.
 
         Raises:
             SandboxError: If ``task_timeout_seconds`` is not positive.
@@ -197,7 +201,7 @@ class WorkerPool:
         self.max_workers = resolve_workers(max_workers)
         self.task_timeout_seconds = float(task_timeout_seconds)
         self.resilience = resilience if resilience is not None else ResilienceConfig()
-        self.slots = slots if slots is not None else SandboxSlots(self.max_workers)
+        self.slots = slots
         self._executor: ProcessPoolExecutor | None = None
         self._lock = threading.Lock()
         self.tasks_executed = 0
@@ -343,7 +347,7 @@ class WorkerPool:
             for index in alone:
                 # This task alone held its private executor, so a death there
                 # is attributable to it.
-                with self.slots.claim():
+                with self.slots.claim() if self.slots is not None else nullcontext():
                     payload = _run_alone(batch.task(index), backstop)
                 _report(batch, index, payload, alone=True)
 
@@ -357,13 +361,16 @@ class WorkerPool:
             setattr(self, counter, getattr(self, counter) + 1)
 
     def _take_slot(self, executor: ProcessPoolExecutor, running: list["_Running"]) -> Callable[..., None]:
-        """Wait for a slot for the next task of a round; returns its release.
+        """Wait for a slot for the next task of a round; returns its release
+        (which does nothing for a standalone pool).
 
         The round's running tasks hold slots, so the wait keeps their
         backstop: a task past its deadline has wedged its worker, so
         ``executor`` is recycled and the task's slot given back, as
         :meth:`_collect` would do on reaching it.
         """
+        if self.slots is None:
+            return _hold_nothing
         while True:
             now = time.monotonic()
             pending = [task for task in running if not task.future.done()]
@@ -389,6 +396,10 @@ class WorkerPool:
             return {"status": "worker-died"}
         except Exception as exc:  # noqa: BLE001 - submission/pickling failures
             return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _hold_nothing(*_ignored: object) -> None:
+    """The release of a standalone pool's task, which holds no slot."""
 
 
 class _Running(NamedTuple):

@@ -2,8 +2,7 @@
 
 Each :class:`~repro.integration.SandboxRunner` owns one, sized
 ``ExecutionConfig.resolved_workers()``, and shares it with its local
-:class:`~repro.execution.WorkerPool`; a standalone pool owns one of its own
-``max_workers`` slots.  One runner may be driven from several threads at
+:class:`~repro.execution.WorkerPool`.  One runner may be driven from several threads at
 once: an engine's sandbox threads (one execution group each) and its
 dispatch thread (campaigns, dataset validation, RLHF scoring) all run on the
 engine's runner.  Each of those calls may fan out to ``resolved_workers()``

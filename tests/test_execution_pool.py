@@ -103,9 +103,10 @@ class TestWorkerPool:
         # The batch's second task waits for the slot the wedged first task
         # holds, so the wait itself must end that task at its backstop.
         monkeypatch.setattr(pool_module, "_BACKSTOP_GRACE_SECONDS", 0.5)
-        with WorkerPool(max_workers=1, task_timeout_seconds=0.5) as pool:
+        slots = SandboxSlots(1)
+        with WorkerPool(max_workers=1, task_timeout_seconds=0.5, slots=slots) as pool:
             payloads = pool.run_batch("bank", [bank_source + WEDGE_ON_LOAD, bank_source], iterations=5)
-            assert pool.slots.in_use == 0
+            assert slots.in_use == 0
             assert pool.stats()["pool_rebuilds"] >= 1
         assert [p["status"] for p in payloads] == ["timeout", "ok"]
 
