@@ -332,15 +332,19 @@ class WorkerPool:
             if shared:
                 executor = self._ensure_executor()
                 running: list[_Running] = []
+                wedged: set[int] = set()
                 for index in shared:
-                    release = self._take_slot(executor, running)
+                    release = self._take_slot(executor, running, wedged)
                     future = _submit(executor, batch.task(index))
                     future.add_done_callback(release)
                     running.append(_Running(index, future, release, time.monotonic() + backstop))
                 for task in running:
                     # A parallel round cannot tell killer from victim: every
                     # task on a dead executor becomes a suspect and reruns alone.
-                    payload = self._collect(task.future, task.deadline, executor)
+                    if task.index in wedged:
+                        payload = {"status": "timeout"}
+                    else:
+                        payload = self._collect(task.future, backstop, executor)
                     task.release()
                     _report(batch, task.index, payload, alone=False)
 
@@ -360,14 +364,17 @@ class WorkerPool:
         with self._lock:
             setattr(self, counter, getattr(self, counter) + 1)
 
-    def _take_slot(self, executor: ProcessPoolExecutor, running: list["_Running"]) -> Callable[..., None]:
+    def _take_slot(
+        self, executor: ProcessPoolExecutor, running: list["_Running"], wedged: set[int]
+    ) -> Callable[..., None]:
         """Wait for a slot for the next task of a round; returns its release
         (which does nothing for a standalone pool).
 
-        The round's running tasks hold slots, so the wait keeps their
-        backstop: a task past its deadline has wedged its worker, so
-        ``executor`` is recycled and the task's slot given back, as
-        :meth:`_collect` would do on reaching it.
+        The round's running tasks hold slots, and each started when it got
+        one, so the wait keeps their backstop: a task still running past its
+        deadline has wedged its worker, so, as :meth:`_collect` would on
+        reaching it, ``executor`` is recycled, the task's slot given back and
+        its index added to ``wedged``, to be reported as timed out.
         """
         if self.slots is None:
             return _hold_nothing
@@ -378,16 +385,16 @@ class WorkerPool:
                 if task.deadline <= now:
                     self._recycle(executor)
                     task.release()
+                    wedged.add(task.index)
             deadlines = [task.deadline for task in pending if task.deadline > now]
             release = self.slots.acquire(timeout=min(deadlines) - now if deadlines else None)
             if release is not None:
                 return release
 
-    def _collect(self, future, deadline: float, executor: ProcessPoolExecutor) -> dict[str, Any]:
-        """Resolve one future that ran on ``executor`` into a status payload,
-        waiting no later than its backstop ``deadline``."""
+    def _collect(self, future, backstop: float, executor: ProcessPoolExecutor) -> dict[str, Any]:
+        """Resolve one future that ran on ``executor`` into a status payload."""
         try:
-            return future.result(timeout=max(0.0, deadline - time.monotonic()))
+            return future.result(timeout=backstop)
         except FutureTimeoutError:
             self._recycle(executor)  # outstanding futures fail over to requeue rounds
             return {"status": "timeout"}
