@@ -2,15 +2,15 @@
 
 Each :class:`~repro.integration.SandboxRunner` owns one, sized
 ``ExecutionConfig.resolved_workers()``, and shares it with its local
-:class:`~repro.execution.WorkerPool`.  One runner may be driven from several threads at
-once: an engine's sandbox threads (one execution group each) and its
-dispatch thread (campaigns, dataset validation, RLHF scoring) all run on the
-engine's runner.  Each of those calls may fan out to ``resolved_workers()``
-children, so without a shared cap their product — not ``max_workers`` —
-would bound the number of live sandbox processes.  Every out-of-process
-sandbox run holds exactly one slot while it runs: a subprocess from its
-start until it exits, and a local pool task from its submission until its
-future resolves.
+:class:`~repro.execution.WorkerPool`.  One runner may be driven from several
+threads at once: an engine's sandbox threads (one execution group each) and
+its dispatch thread (campaigns, dataset validation, RLHF scoring) all run on
+the engine's runner.  Each of those calls may fan out to
+``resolved_workers()`` children, so without a shared cap their product — not
+``max_workers`` — would bound the number of live sandbox processes.  Every
+out-of-process sandbox run of a runner holds exactly one slot while it runs:
+a subprocess from its start until it exits, and a pool task from its
+submission until its future resolves.
 """
 
 from __future__ import annotations
