@@ -323,12 +323,14 @@ def ensure_import(tree: ast.Module, module_name: str) -> ast.Module:
     """Return ``tree`` with a top-level ``import module_name`` guaranteed.
 
     A new import goes after the module docstring and any ``from __future__``
-    imports, which must precede it.
+    imports, which must precede it.  Only an unaliased ``import module_name``
+    binds the name the injected code calls through, so ``import time as t``
+    or ``from time import sleep`` does not count.
     """
     for node in tree.body:
-        if isinstance(node, ast.Import) and any(alias.name == module_name for alias in node.names):
-            return tree
-        if isinstance(node, ast.ImportFrom) and node.module == module_name:
+        if isinstance(node, ast.Import) and any(
+            alias.name == module_name and alias.asname is None for alias in node.names
+        ):
             return tree
     import_node = ast.Import(names=[ast.alias(name=module_name, asname=None)])
     insert_at = 0

@@ -101,6 +101,46 @@ class TestImports:
         rendered = ast_utils.unparse(tree)
         assert rendered.splitlines()[0].startswith('"""') or rendered.splitlines()[0].startswith("'")
 
+    def test_ensure_import_follows_a_future_import(self):
+        tree = ast_utils.parse_module("from __future__ import annotations\n\ndef f(x):\n    return x\n")
+        ast_utils.ensure_import(tree, "time")
+        rendered = ast_utils.unparse(tree)
+        assert rendered.splitlines()[:2] == ["from __future__ import annotations", "import time"]
+        compile(rendered, "<m>", "exec")
+
+    def test_ensure_import_follows_the_docstring_and_every_future_import(self):
+        source = '"""doc"""\nfrom __future__ import annotations\nfrom __future__ import division\nx = 1\n'
+        tree = ast_utils.parse_module(source)
+        ast_utils.ensure_import(tree, "time")
+        assert [type(node).__name__ for node in tree.body] == ["Expr", "ImportFrom", "ImportFrom", "Import", "Assign"]
+        compile(ast_utils.unparse(tree), "<m>", "exec")
+
+    def test_ensure_import_goes_before_other_from_imports(self):
+        tree = ast_utils.parse_module('"""doc"""\nfrom os import path\n')
+        ast_utils.ensure_import(tree, "time")
+        assert isinstance(tree.body[1], ast.Import)
+        assert isinstance(tree.body[2], ast.ImportFrom) and tree.body[2].module == "os"
+
+    @pytest.mark.parametrize("source", ["", '"""doc"""\n'], ids=["empty", "docstring-only"])
+    def test_ensure_import_into_a_module_without_code(self, source):
+        tree = ast_utils.parse_module(source)
+        ast_utils.ensure_import(tree, "time")
+        assert ast_utils.unparse(tree).splitlines()[-1] == "import time"
+
+    @pytest.mark.parametrize("header", ["import time as _t", "from time import sleep"])
+    def test_ensure_import_binds_the_name_an_alias_does_not(self, header):
+        # Injected code calls ``time.sleep``, which neither header binds.
+        tree = ast_utils.parse_module(f"{header}\n\ndef f():\n    time.sleep(0)\n    return 1\n")
+        ast_utils.ensure_import(tree, "time")
+        namespace: dict = {}
+        exec(compile(ast_utils.unparse(tree), "<m>", "exec"), namespace)
+        assert namespace["f"]() == 1
+
+    def test_ensure_import_keeps_an_import_among_others(self):
+        tree = ast_utils.parse_module("import os, time\nx = 1\n")
+        ast_utils.ensure_import(tree, "time")
+        assert len(tree.body) == 2
+
 
 class TestStatementHelpers:
     def test_statement_slots_cover_nested_bodies(self):

@@ -175,6 +175,13 @@ class TestServeCommand:
         assert exit_code == 2
         assert "max_queue_depth must be non-negative" in captured.err
 
+    @pytest.mark.parametrize("flag", ["--shards", "--shard-queue-depth"])
+    def test_removed_shard_flags_exit_with_code_two(self, flag, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["serve", "--port", "0", flag, "4"])
+        assert caught.value.code == 2
+        assert f"unrecognized arguments: {flag} 4" in capsys.readouterr().err
+
     def test_bind_failure_exits_with_code_two(self, capsys):
         import socket
 

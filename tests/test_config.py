@@ -121,6 +121,7 @@ class TestPipelineConfig:
         ({"resilience": {"chaos": {"crash": 1.0}}}, "unknown resilience.chaos field(s): crash"),
         ({"executon": {}}, "unknown pipeline field(s): executon"),
         ({"server": {"shards": 4}}, "unknown server field(s): shards"),
+        ({"server": {"shard_queue_depth": 8}}, "unknown server field(s): shard_queue_depth"),
     ])
     def test_from_dict_names_the_section_and_field_it_does_not_know(self, data, named):
         with pytest.raises(ConfigurationError) as caught:

@@ -164,6 +164,51 @@ class TestWorkerPool:
             assert pool.stats()["quarantined"] == 1
         assert statuses == {"killer": ["ok", "error"], "a": ["ok"] * 4, "b": ["ok"] * 4}
 
+    def test_a_pool_runs_no_more_tasks_at_once_than_its_slots(self, monkeypatch, bank_source):
+        live = peak = 0
+        lock = threading.Lock()
+        real_submit = pool_module._submit
+
+        def finished(_future) -> None:
+            nonlocal live
+            with lock:
+                live -= 1
+
+        def submit(executor, task):
+            # Counts a task from its submission until its future resolves;
+            # this callback runs before the one that frees its slot.
+            nonlocal live, peak
+            with lock:
+                live += 1
+                peak = max(peak, live)
+            future = real_submit(executor, task)
+            future.add_done_callback(finished)
+            return future
+
+        monkeypatch.setattr(pool_module, "_submit", submit)
+        slots = SandboxSlots(1)
+        with WorkerPool(max_workers=2, task_timeout_seconds=5.0, slots=slots) as pool:
+            payloads = pool.run_batch("bank", [bank_source] * 3, iterations=5)
+            assert slots.in_use == 0
+        assert [p["status"] for p in payloads] == ["ok"] * 3
+        assert peak == 1
+
+    def test_a_suspect_rerunning_alone_holds_one_slot(self, monkeypatch, bank_source):
+        held: list[int] = []
+        real_run_alone = pool_module._run_alone
+
+        def run_alone(task, backstop):
+            held.append(slots.in_use)
+            return real_run_alone(task, backstop)
+
+        monkeypatch.setattr(pool_module, "_run_alone", run_alone)
+        slots = SandboxSlots(2)
+        with WorkerPool(max_workers=2, task_timeout_seconds=5.0, slots=slots) as pool:
+            payloads = pool.run_batch("bank", [bank_source, bank_source + EXIT_ON_LOAD], iterations=5)
+            assert slots.in_use == 0
+        assert [p["status"] for p in payloads] == ["ok", "error"]
+        assert held and set(held) == {1}
+
     def test_worker_death_is_isolated_and_pool_recovers(self, bank_source):
         with WorkerPool(max_workers=1, task_timeout_seconds=5.0) as pool:
             payloads = pool.run_batch(
@@ -218,6 +263,28 @@ class TestSandboxRunnerBatches:
                 observations = sandbox.run_batch("bank", sources, mode="pool", iterations=5)
             assert sandbox.slots.in_use == 0
         assert [o.completed for o in observations] == [True] * 4, [o.timed_out for o in observations]
+
+    @pytest.mark.parametrize("mode", ["subprocess", "pool"])
+    def test_a_batch_waits_while_another_caller_holds_every_slot(self, mode, bank_source):
+        integration = IntegrationConfig(test_timeout_seconds=5.0)
+        observations: list = []
+        done = threading.Event()
+        with SandboxRunner(integration, execution=ExecutionConfig(max_workers=2)) as sandbox:
+
+            def run() -> None:
+                observations.extend(sandbox.run_batch("bank", [bank_source] * 2, mode=mode, iterations=5))
+                done.set()
+
+            held = [sandbox.slots.acquire() for _ in range(sandbox.slots.total)]
+            worker = threading.Thread(target=run)
+            worker.start()
+            assert not done.wait(0.3)  # no task may start without a slot
+            for release in held:
+                release()
+            worker.join(timeout=60)
+            assert done.is_set()
+            assert sandbox.slots.in_use == 0
+        assert [o.completed for o in observations] == [True, True]
 
     def test_threads_driving_one_runner_share_its_pool_and_slots(self, monkeypatch):
         # More threads than cores run two-task batches for two targets on one
@@ -300,6 +367,40 @@ class TestSandboxSlots:
         release()  # a pool task's future and its batch both give it back
         assert slots.in_use == 1
         held()
+        assert slots.in_use == 0
+
+    @pytest.mark.parametrize("asked", [0, -3])
+    def test_a_budget_has_at_least_one_slot(self, asked):
+        slots = SandboxSlots(asked)
+        assert slots.total == 1
+        with slots.claim():
+            assert slots.in_use == 1
+
+    def test_a_claim_gives_its_slot_back_when_its_block_raises(self):
+        slots = SandboxSlots(1)
+        with pytest.raises(RuntimeError):
+            with slots.claim():
+                raise RuntimeError("sandbox run failed")
+        assert slots.in_use == 0
+
+    def test_a_timed_acquire_takes_a_slot_given_back_before_it_times_out(self):
+        slots = SandboxSlots(1)
+        release = slots.acquire()
+        waiting = threading.Event()
+        taken: list = []
+
+        def wait_for_slot() -> None:
+            waiting.set()
+            taken.append(slots.acquire(timeout=30))
+
+        waiter = threading.Thread(target=wait_for_slot)
+        waiter.start()
+        waiting.wait(5)
+        release()
+        waiter.join(timeout=30)
+        assert taken and taken[0] is not None
+        assert slots.in_use == 1
+        taken[0]()
         assert slots.in_use == 0
 
 

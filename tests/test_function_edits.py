@@ -100,14 +100,15 @@ class TestOperatorEdits:
             assert again == produced
             assert _cached_forms(source) == before
 
+    @pytest.mark.parametrize("operator_name", TOP_LEVEL_OPERATORS[:3])
     @pytest.mark.parametrize("source", SOURCES[:-1], ids=[t.name for t in all_targets()] + ["fixture"])
-    def test_an_added_import_follows_future_imports(self, source):
+    def test_an_added_import_follows_future_imports(self, source, operator_name):
         tree = ast.parse(source)
         docstring_end = tree.body[0].end_lineno
         lines = source.split("\n")
         lines.insert(docstring_end, "from __future__ import annotations")
         source = "\n".join(lines)
-        indices = [i for i, point in enumerate(_points(source)) if point.operator in TOP_LEVEL_OPERATORS[:3]]
+        indices = [i for i, point in enumerate(_points(source)) if point.operator == operator_name]
         assert indices
         for index in indices:
             produced, expected = _applications(source, index, seed=index)

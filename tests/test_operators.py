@@ -279,6 +279,14 @@ def increment():
         assert module["increment"]() == 1
         assert "_injected_snapshot" in applied.patch.mutated
 
+    @pytest.mark.parametrize("operator_name", ["inject_delay", "widen_race_window", "split_atomic_update"])
+    def test_an_added_time_import_follows_future_imports(self, operator_name):
+        source = '"""Counter."""\nfrom __future__ import annotations\n' + self.LOCKED
+        applied = apply_first(operator_name, source, parameters={"seconds": 0.0})
+        module = run_module(applied.patch.mutated)
+        assert module["increment"]() == 1
+        assert "time" in module
+
 
 class TestResourceAndTimingOperators:
     def test_resource_leak_removes_release(self):

@@ -34,6 +34,7 @@ from repro.config import EngineConfig, ExecutionConfig
 from repro.errors import RequestError
 
 DESCRIPTION = "Simulate a timeout in the transfer function causing an unhandled exception"
+DELAY_DESCRIPTION = "Introduce a delay into the get function that slows every lookup"
 
 REQUEST_SAMPLES = [
     GenerateRequest(description=DESCRIPTION, target="bank", execute=True, mode="pool"),
@@ -223,6 +224,11 @@ class TestStatsCodec:
         with pytest.raises(RequestError, match="telemetry"):
             StatsSnapshot.from_dict({"server": {}, "telemetry": {}})
 
+    @pytest.mark.parametrize("section", ["shards", "aggregate"])
+    def test_snapshot_rejects_the_sections_of_a_sharded_server(self, section):
+        with pytest.raises(RequestError, match=section):
+            StatsSnapshot.from_dict({"server": {}, section: []})
+
 @pytest.fixture(scope="module")
 def server():
     """One live server on an ephemeral port, shared by the socket tests."""
@@ -246,6 +252,18 @@ def _exchange(server, method: str, path: str, body=None):
         return response.status, json.loads(response.read())
     finally:
         connection.close()
+
+
+def _poll(server, path: str, deadline_seconds: float = 60):
+    """Poll an async ticket until its envelope is ready → decoded envelope."""
+    deadline = time.monotonic() + deadline_seconds
+    while True:
+        status, body = _exchange(server, "GET", path)
+        if status == 200:
+            return body
+        assert status == 202, body
+        assert time.monotonic() < deadline, "async ticket never resolved"
+        time.sleep(0.02)
 
 
 class TestLiveServer:
@@ -351,16 +369,48 @@ class TestLiveServer:
         assert status == 202
         assert ticket["status"] == "pending"
         assert ticket["request_id"] == "async-poll-1"
-        deadline = time.monotonic() + 60
-        while True:
-            status, envelope = _exchange(server, "GET", ticket["poll"])
-            if status == 200:
-                break
-            assert status == 202
-            assert time.monotonic() < deadline, "async ticket never resolved"
-            time.sleep(0.02)
+        envelope = _poll(server, ticket["poll"])
         assert envelope["status"] == "ok"
         assert envelope["request_id"] == "async-poll-1"
+
+    def test_async_submit_without_an_id_gets_an_engine_id(self, server):
+        status, ticket = _exchange(
+            server, "POST", "/v1/generate?async=1", {"description": DESCRIPTION, "target": "kvstore"}
+        )
+        assert status == 202
+        assert ticket["request_id"].startswith("req-")
+        envelope = _poll(server, ticket["poll"])
+        assert envelope["status"] == "ok"
+        assert envelope["request_id"] == ticket["request_id"]
+
+    def test_execute_burst_on_one_target_does_not_delay_another(self, server):
+        """Executions run off the dispatch thread, one group per target: a
+        generate for bank is served while kvstore's burst still executes."""
+        polls = []
+        for index in range(4):
+            status, ticket = _exchange(
+                server,
+                "POST",
+                "/v1/generate?async=1",
+                {
+                    "description": DELAY_DESCRIPTION,
+                    "target": "kvstore",
+                    "execute": True,
+                    "mode": "inprocess",
+                    "request_id": f"burst-kv-{index}",
+                },
+            )
+            assert status == 202
+            polls.append(ticket["poll"])
+        started = time.monotonic()
+        status, envelope = _exchange(
+            server, "POST", "/v1/generate", {"description": DESCRIPTION, "target": "bank"}
+        )
+        elapsed = time.monotonic() - started
+        assert status == 200 and envelope["status"] == "ok"
+        assert elapsed < 5.0
+        for poll in polls:  # leave the shared server quiescent for later tests
+            assert _poll(server, poll)["status"] == "ok"
 
     def test_duplicate_async_request_id_maps_to_409(self, server):
         body = {"description": DESCRIPTION, "target": "bank", "request_id": "dup-1"}
