@@ -152,8 +152,6 @@ def _spawn_server() -> tuple[subprocess.Popen, str]:
             "pool",
             "--max-workers",
             "2",
-            "--queue-delay",
-            "0.002",
         ],
         stderr=subprocess.PIPE,
         text=True,

@@ -31,7 +31,7 @@ import threading
 import time
 
 from repro import FaultInjectionEngine, GenerateRequest, NeuralFaultInjector, PipelineConfig
-from repro.config import EngineConfig, ExecutionConfig, IntegrationConfig
+from repro.config import ExecutionConfig, IntegrationConfig
 from repro.targets import get_target
 
 from conftest import write_result
@@ -78,7 +78,6 @@ def _config() -> PipelineConfig:
     return PipelineConfig(
         integration=IntegrationConfig(workload_iterations=25, test_timeout_seconds=5),
         execution=ExecutionConfig(max_workers=2, default_mode="pool"),
-        engine=EngineConfig(max_queue_delay_seconds=0.02),
     )
 
 

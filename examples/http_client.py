@@ -61,14 +61,10 @@ def main() -> None:
     server = None
     url = args.url
     if url is None:
-        from repro import PipelineConfig, ServerConfig
-        from repro.config import EngineConfig
+        from repro import ServerConfig
         from repro.server import serve
 
-        server = serve(
-            config=PipelineConfig(engine=EngineConfig(max_queue_delay_seconds=0.02)),
-            server_config=ServerConfig(port=0),
-        )
+        server = serve(server_config=ServerConfig(port=0))
         url = server.url
         print(f"started embedded server on {url}")
 

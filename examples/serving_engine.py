@@ -18,7 +18,7 @@ from __future__ import annotations
 import threading
 
 from repro import FaultInjectionEngine, GenerateRequest, PipelineConfig
-from repro.config import EngineConfig, ExecutionConfig
+from repro.config import ExecutionConfig
 
 SCENARIOS = [
     ("Simulate a timeout in the transfer function causing an unhandled exception", "bank"),
@@ -34,10 +34,7 @@ CLIENTS = 4
 
 
 def main() -> None:
-    config = PipelineConfig(
-        execution=ExecutionConfig(max_workers=2, default_mode="pool"),
-        engine=EngineConfig(max_queue_delay_seconds=0.02),
-    )
+    config = PipelineConfig(execution=ExecutionConfig(max_workers=2, default_mode="pool"))
     with FaultInjectionEngine(config) as engine:
         requests = [
             GenerateRequest(

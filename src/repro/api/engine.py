@@ -121,7 +121,6 @@ class FaultInjectionEngine:
             dispatch_batch=self._process_generate_batch,
             dispatch_single=self._process_single,
             max_batch_size=self.config.engine.resolved_batch_size(self.config.execution),
-            max_queue_delay_seconds=self.config.engine.max_queue_delay_seconds,
             sandbox_workers=self.config.execution.resolved_workers(),
         )
 
@@ -204,8 +203,8 @@ class FaultInjectionEngine:
     def run_many(self, requests: Iterable[Request]) -> list[Response]:
         """Submit many requests at once and gather responses in input order.
 
-        Submitting everything before waiting lets the scheduler coalesce the
-        whole list into batched generation and pooled execution.
+        Submitting everything before waiting lets the scheduler coalesce
+        what is queued into batched generation and pooled execution.
         """
         handles = [self.submit(request) for request in requests]
         return [handle.result() for handle in handles]

@@ -11,9 +11,9 @@ batching in LLM serving engines (sglang-like):
 * a contiguous run of :class:`~repro.api.GenerateRequest` tickets at the head
   of the queue is grouped into ONE model batch — a single
   ``forward_batch``-backed generation pass — up to
-  ``EngineConfig.max_batch_size`` tickets, waiting at most
-  ``EngineConfig.max_queue_delay_seconds`` after dispatch starts so
-  concurrent clients can coalesce;
+  ``EngineConfig.max_batch_size`` tickets.  The dispatch thread never waits
+  for a batch to fill: it takes what is queued when it is free, and tickets
+  that arrive while a batch runs form the next batch;
 * within a batch, requests that ask for execution are grouped by target and
   run as pooled sandbox batches (``run_many``/``run_batch``), which is where
   the order-of-magnitude serving win comes from.  Each group is handed to
@@ -132,30 +132,36 @@ class SchedulerStats:
 
     Aggregate counters cover the engine's whole lifetime; the per-batch
     detail is a sliding window of the last :data:`STATS_BATCH_WINDOW`
-    dispatches, so a long-lived serving engine's stats stay O(1).
+    dispatches, so a long-lived serving engine's stats stay O(1).  The
+    dispatch thread records while other threads read, so both go through
+    one lock.
     """
 
     dispatched: int = 0
     batch_count: int = 0
     batches: deque = field(default_factory=lambda: deque(maxlen=STATS_BATCH_WINDOW))
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def record(self, kind: str, size: int, targets: list[str]) -> None:
         """Account one dispatch."""
-        self.dispatched += size
-        self.batch_count += 1
-        self.batches.append({"kind": kind, "size": size, "targets": targets})
+        with self._lock:
+            self.dispatched += size
+            self.batch_count += 1
+            self.batches.append({"kind": kind, "size": size, "targets": targets})
 
     @property
     def batch_sizes(self) -> list[int]:
         """Generate-batch sizes in dispatch order (recent window)."""
-        return [b["size"] for b in self.batches if b["kind"] == "generate"]
+        return [b["size"] for b in self.to_dict()["batches"] if b["kind"] == "generate"]
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-able view of the stats (per-batch detail: recent window)."""
+        with self._lock:
+            dispatched, batch_count, batches = self.dispatched, self.batch_count, list(self.batches)
         return {
-            "dispatched": self.dispatched,
-            "batch_count": self.batch_count,
-            "batches": [dict(b) for b in self.batches],
+            "dispatched": dispatched,
+            "batch_count": batch_count,
+            "batches": [dict(b) for b in batches],
         }
 
 
@@ -175,7 +181,6 @@ class Scheduler:
         dispatch_batch: Callable[[list[Ticket]], None],
         dispatch_single: Callable[[Ticket], None],
         max_batch_size: int,
-        max_queue_delay_seconds: float,
         sandbox_workers: int = 1,
     ) -> None:
         """Initialise the scheduler.
@@ -186,15 +191,12 @@ class Scheduler:
                 ticket to :meth:`offload`).
             dispatch_single: Callback executing one non-generate ticket.
             max_batch_size: Most generate tickets coalesced per dispatch.
-            max_queue_delay_seconds: How long a dispatch waits for more
-                arrivals after the first ticket is picked up.
             sandbox_workers: Sandbox threads serving :meth:`offload`; at
                 most this many offloaded tasks run at once.
         """
         self._dispatch_batch = dispatch_batch
         self._dispatch_single = dispatch_single
         self._max_batch_size = max(1, int(max_batch_size))
-        self._max_queue_delay = max(0.0, float(max_queue_delay_seconds))
         self._queue: deque[Ticket] = deque()
         self._cond = threading.Condition()
         self._thread: threading.Thread | None = None
@@ -352,14 +354,12 @@ class Scheduler:
                     # Closed and drained: nothing offloads any more.
                     self._sandbox.shutdown(wait=False)
                     return
-                head = self._queue.popleft()
-            if head.expired():
-                self._resolve_expired(head)
+                taken = self._collect()
+            batch = [t for t in taken if not self._expire(t)]
+            if not batch:
                 continue
+            head = batch[0]
             if isinstance(head.request, GenerateRequest):
-                batch = [t for t in self._collect(head) if not self._expire(t)]
-                if not batch:
-                    continue
                 self.stats.record(
                     "generate", len(batch), sorted({t.request.target or "" for t in batch})
                 )
@@ -372,10 +372,6 @@ class Scheduler:
         """Resolve a ticket whose deadline elapsed while it queued."""
         if not ticket.expired():
             return False
-        self._resolve_expired(ticket)
-        return True
-
-    def _resolve_expired(self, ticket: Ticket) -> None:
         ticket.handle._resolve(
             Response(
                 request_id=ticket.handle.request_id,
@@ -387,6 +383,7 @@ class Scheduler:
                 timings=Timings(queued_seconds=time.monotonic() - ticket.submitted_at),
             )
         )
+        return True
 
     def _dispatch(self, work: Callable[[], None], tickets: list[Ticket]) -> None:
         """Run dispatch or sandbox work, resolving stranded handles on failure.
@@ -410,23 +407,20 @@ class Scheduler:
                         )
                     )
 
-    def _collect(self, head: Ticket) -> list[Ticket]:
-        """Coalesce a contiguous run of generate tickets behind ``head``.
+    def _collect(self) -> list[Ticket]:
+        """Take the head ticket, and behind a generate head every generate
+        ticket already queued after it.
 
-        Collection stops at ``max_batch_size`` tickets, when the coalescing
-        window expires with an empty queue, or when a non-generate ticket
-        reaches the head of the queue (FIFO is never violated).
+        Called with the condition lock held and a non-empty queue; it never
+        waits.  Collection stops at ``max_batch_size`` tickets or at the first
+        non-generate ticket (FIFO is never violated).
         """
-        batch = [head]
-        deadline = time.monotonic() + self._max_queue_delay
-        while len(batch) < self._max_batch_size:
-            with self._cond:
-                remaining = deadline - time.monotonic()
-                while not self._queue and remaining > 0 and not self._closed:
-                    self._cond.wait(remaining)
-                    remaining = deadline - time.monotonic()
-                if self._queue and isinstance(self._queue[0].request, GenerateRequest):
-                    batch.append(self._queue.popleft())
-                    continue
-                break
+        batch = [self._queue.popleft()]
+        if isinstance(batch[0].request, GenerateRequest):
+            while (
+                len(batch) < self._max_batch_size
+                and self._queue
+                and isinstance(self._queue[0].request, GenerateRequest)
+            ):
+                batch.append(self._queue.popleft())
         return batch

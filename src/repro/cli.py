@@ -87,12 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--mode", default=None, help="default sandbox mode: inprocess|subprocess|pool|distributed")
     serve.add_argument("--max-workers", type=int, default=None, help="sandbox worker pool size")
     serve.add_argument(
-        "--queue-delay",
-        type=float,
-        default=None,
-        help="scheduler coalescing window in seconds (EngineConfig.max_queue_delay_seconds)",
-    )
-    serve.add_argument(
         "--chaos",
         type=float,
         default=None,
@@ -187,9 +181,6 @@ def _serve_command(args: argparse.Namespace) -> int:
             execution = replace(execution, default_mode=args.mode)
         if args.max_workers is not None:
             execution = replace(execution, max_workers=args.max_workers)
-        engine_config = config.engine
-        if args.queue_delay is not None:
-            engine_config = replace(engine_config, max_queue_delay_seconds=args.queue_delay)
         resilience = config.resilience
         if args.chaos is not None:
             from .config import ChaosConfig
@@ -202,7 +193,7 @@ def _serve_command(args: argparse.Namespace) -> int:
                 drop_result_probability=args.chaos,
             )
             resilience = replace(resilience, chaos=chaos)
-        config = replace(config, execution=execution, engine=engine_config, resilience=resilience)
+        config = replace(config, execution=execution, resilience=resilience)
         # All server flags funnel through the one validated entry point
         # (the individual flags are aliases for ServerConfig fields).
         server_config = ServerConfig.from_args(args, base=config.server)

@@ -379,22 +379,19 @@ class EngineConfig:
 
     The engine's continuous-batching scheduler drains up to ``max_batch_size``
     queued :class:`~repro.api.GenerateRequest` objects per dispatch (``None``
-    defers to ``ExecutionConfig.batch_size``), waiting at most
-    ``max_queue_delay_seconds`` after the first request arrives so concurrent
-    clients coalesce into one batched forward pass.  ``extract_cache_size``
+    defers to ``ExecutionConfig.batch_size``) into one batched forward pass.
+    It never waits for a batch to fill: requests that arrive while a batch
+    runs form the next one.  ``extract_cache_size``
     bounds the description-hash LRU cache of the shared
     :class:`~repro.nlp.FaultSpecExtractor` (``0`` disables it).
     """
 
     max_batch_size: int | None = None
-    max_queue_delay_seconds: float = 0.002
     extract_cache_size: int = 2048
 
     def __post_init__(self) -> None:
         if self.max_batch_size is not None and self.max_batch_size <= 0:
             raise ConfigurationError("max_batch_size must be positive when set")
-        if self.max_queue_delay_seconds < 0:
-            raise ConfigurationError("max_queue_delay_seconds must be non-negative")
         if self.extract_cache_size < 0:
             raise ConfigurationError("extract_cache_size must be non-negative (0 disables)")
 

@@ -22,7 +22,6 @@ from repro import (
 from repro.api import CampaignRequest, DatasetRequest, GeneratePayload, RLHFRequest
 from repro.config import (
     DistributedConfig,
-    EngineConfig,
     ExecutionConfig,
     IntegrationConfig,
     RLHFConfig,
@@ -210,10 +209,7 @@ class TestSandboxSlots:
 
             monkeypatch.setattr(pool_module, "_submit", submit)
 
-        config = PipelineConfig(
-            execution=ExecutionConfig(max_workers=2),
-            engine=EngineConfig(max_queue_delay_seconds=0.0),
-        )
+        config = PipelineConfig(execution=ExecutionConfig(max_workers=2))
         requests = [
             GenerateRequest(description=description, target=target, execute=True, mode=mode)
             for target, descriptions in (("bank", DESCRIPTIONS[:2]), ("kvstore", KVSTORE_DESCRIPTIONS[:2]))
@@ -235,10 +231,7 @@ class TestOneSandboxRunner:
 
     @staticmethod
     def _config(**execution) -> PipelineConfig:
-        return PipelineConfig(
-            execution=ExecutionConfig(**execution),
-            engine=EngineConfig(max_queue_delay_seconds=0.0),
-        )
+        return PipelineConfig(execution=ExecutionConfig(**execution))
 
     @pytest.mark.pool
     def test_campaign_baselines_and_override_datasets_count_on_the_pool(self):
@@ -315,7 +308,7 @@ class TestCloseFromCallbacks:
     """A done-callback may close the engine; queued work still resolves."""
 
     def _config(self) -> PipelineConfig:
-        return PipelineConfig(engine=EngineConfig(max_queue_delay_seconds=0.0))
+        return PipelineConfig()
 
     def test_close_on_the_dispatch_thread_still_runs_queued_executions(self):
         engine = FaultInjectionEngine(self._config())

@@ -3,14 +3,14 @@ the submit/run_many/stream delivery surfaces."""
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
 
-from repro import FaultInjectionEngine, GenerateRequest, PipelineConfig
-from repro.api import DatasetRequest, Response, Scheduler, Ticket
-from repro.api.scheduler import ResponseHandle
-from repro.config import EngineConfig
+from repro import FaultInjectionEngine, GenerateRequest
+from repro.api import DatasetRequest, Response, Scheduler, SchedulerStats, Ticket
+from repro.api.scheduler import STATS_BATCH_WINDOW, ResponseHandle
 from repro.errors import EngineClosedError
 
 DESCRIPTIONS = [
@@ -26,6 +26,13 @@ def _ticket(request) -> Ticket:
     return Ticket(request=request, handle=ResponseHandle(request.request_id or "t", request.kind))
 
 
+def _held_until_submitted(engine, requests):
+    """Yield ``requests`` with the dispatch thread held, so ``run_many`` over
+    them queues every ticket before the first dispatch."""
+    with engine._scheduler.held():
+        yield from requests
+
+
 def _resolve_all(tickets):
     for ticket in tickets:
         ticket.handle._resolve(
@@ -38,10 +45,11 @@ class TestSchedulerCoalescing:
 
     def test_contiguous_generate_requests_coalesce_into_one_batch(self):
         dispatched: list[list[str]] = []
-        release = threading.Event()
+        started, release = threading.Event(), threading.Event()
 
         def dispatch_batch(tickets):
             if not dispatched:
+                started.set()
                 release.wait(timeout=10)
             dispatched.append([t.handle.request_id for t in tickets])
             _resolve_all(tickets)
@@ -50,12 +58,12 @@ class TestSchedulerCoalescing:
             dispatch_batch=dispatch_batch,
             dispatch_single=lambda t: _resolve_all([t]),
             max_batch_size=8,
-            max_queue_delay_seconds=0.01,
         )
         first = _ticket(GenerateRequest(description="x", request_id="g0"))
         scheduler.submit(first)
-        # While the dispatcher is blocked on g0's batch, five more requests
-        # queue up; releasing it must coalesce all five into ONE batch.
+        # g0 dispatches alone, without waiting for company; the five
+        # requests that queue while it runs go out together as ONE batch.
+        assert started.wait(timeout=10)
         rest = [
             _ticket(GenerateRequest(description="x", request_id=f"g{i}")) for i in range(1, 6)
         ]
@@ -65,18 +73,12 @@ class TestSchedulerCoalescing:
         for ticket in [first, *rest]:
             ticket.handle.result(timeout=10)
         scheduler.close()
-        # The first dispatch may have raced a prefix of the burst, but the
-        # rest coalesces into one batch: at most two dispatches, FIFO order.
-        assert len(dispatched) <= 2
-        assert [rid for batch in dispatched for rid in batch] == [f"g{i}" for i in range(6)]
+        assert dispatched == [["g0"], [f"g{i}" for i in range(1, 6)]]
 
     def test_max_batch_size_bounds_each_dispatch(self):
         dispatched: list[int] = []
-        release = threading.Event()
 
         def dispatch_batch(tickets):
-            if not dispatched:
-                release.wait(timeout=10)
             dispatched.append(len(tickets))
             _resolve_all(tickets)
 
@@ -84,28 +86,22 @@ class TestSchedulerCoalescing:
             dispatch_batch=dispatch_batch,
             dispatch_single=lambda t: _resolve_all([t]),
             max_batch_size=3,
-            max_queue_delay_seconds=0.01,
         )
         tickets = [
             _ticket(GenerateRequest(description="x", request_id=f"g{i}")) for i in range(7)
         ]
-        scheduler.submit(tickets[0])
-        for ticket in tickets[1:]:
-            scheduler.submit(ticket)
-        release.set()
+        with scheduler.held():
+            for ticket in tickets:
+                scheduler.submit(ticket)
         for ticket in tickets:
             ticket.handle.result(timeout=10)
         scheduler.close()
-        assert max(dispatched) <= 3
-        assert sum(dispatched) == 7
+        assert dispatched == [3, 3, 1]
 
     def test_fifo_is_preserved_across_request_kinds(self):
         order: list[str] = []
-        release = threading.Event()
 
         def dispatch_batch(tickets):
-            if not order:
-                release.wait(timeout=10)
             order.append("generate:" + ",".join(t.handle.request_id for t in tickets))
             _resolve_all(tickets)
 
@@ -117,16 +113,14 @@ class TestSchedulerCoalescing:
             dispatch_batch=dispatch_batch,
             dispatch_single=dispatch_single,
             max_batch_size=8,
-            max_queue_delay_seconds=0.01,
         )
         g0 = _ticket(GenerateRequest(description="x", request_id="g0"))
-        scheduler.submit(g0)
         d0 = _ticket(DatasetRequest(request_id="d0"))
         g1 = _ticket(GenerateRequest(description="x", request_id="g1"))
         g2 = _ticket(GenerateRequest(description="x", request_id="g2"))
-        for ticket in (d0, g1, g2):
-            scheduler.submit(ticket)
-        release.set()
+        with scheduler.held():
+            for ticket in (g0, d0, g1, g2):
+                scheduler.submit(ticket)
         for ticket in (g0, d0, g1, g2):
             ticket.handle.result(timeout=10)
         scheduler.close()
@@ -142,7 +136,6 @@ class TestSchedulerCoalescing:
             dispatch_batch=dispatch_batch,
             dispatch_single=lambda t: None,
             max_batch_size=4,
-            max_queue_delay_seconds=0.0,
         )
         ticket = _ticket(GenerateRequest(description="x", request_id="g0"))
         scheduler.submit(ticket)
@@ -174,7 +167,6 @@ class TestSchedulerCoalescing:
             dispatch_batch=_resolve_all,
             dispatch_single=lambda t: _resolve_all([t]),
             max_batch_size=4,
-            max_queue_delay_seconds=0.0,
             sandbox_workers=1,
         )
         scheduler.offload(hold_the_slot, [busy])
@@ -194,11 +186,77 @@ class TestSchedulerCoalescing:
             dispatch_batch=_resolve_all,
             dispatch_single=lambda t: _resolve_all([t]),
             max_batch_size=4,
-            max_queue_delay_seconds=0.0,
         )
         scheduler.close()
         with pytest.raises(EngineClosedError):
             scheduler.submit(_ticket(GenerateRequest(description="x")))
+
+
+class TestSchedulerStats:
+    def test_a_dispatch_recorded_while_the_stats_are_read_leaves_the_read_whole(self):
+        stats = SchedulerStats()
+
+        class RecordsWhileCopied:
+            """A batch entry whose copy records another dispatch, as the
+            dispatch thread may while a handler thread serves /v1/stats."""
+
+            def keys(self):
+                stats.record("generate", 1, ["bank"])
+                return ["kind", "size"]
+
+            def __getitem__(self, key):
+                return {"kind": "generate", "size": 1}[key]
+
+        stats.record("generate", 2, ["bank"])
+        stats.batches.append(RecordsWhileCopied())
+        stats.record("dataset", 1, [])
+        snapshot = stats.to_dict()
+        # The snapshot is one instant: counters and batches agree, and the
+        # dispatch recorded during the read lands after it.
+        assert (snapshot["dispatched"], snapshot["batch_count"]) == (3, 2)
+        assert [b["size"] for b in snapshot["batches"]] == [2, 1, 1]
+        assert (stats.dispatched, stats.batch_count, len(stats.batches)) == (4, 3, 4)
+
+    def test_concurrent_records_and_reads_lose_no_dispatch(self):
+        stats = SchedulerStats()
+        records_per_thread, recorders = 20000, 3
+        failures: list[Exception] = []
+        done = threading.Event()
+
+        def record():
+            for _ in range(records_per_thread):
+                stats.record("generate", 2, ["bank"])
+
+        def read():
+            try:
+                while not done.is_set():
+                    snapshot = stats.to_dict()
+                    assert snapshot["dispatched"] == 2 * snapshot["batch_count"]
+                    assert len(snapshot["batches"]) == min(
+                        snapshot["batch_count"], STATS_BATCH_WINDOW
+                    )
+                    assert set(stats.batch_sizes) <= {2}
+            except Exception as exc:  # noqa: BLE001 - the test thread reports it
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reader = threading.Thread(target=read)
+            reader.start()
+            threads = [threading.Thread(target=record) for _ in range(recorders)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            done.set()
+            reader.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in [reader, *threads])
+        assert failures == []
+        assert stats.batch_count == recorders * records_per_thread
+        assert stats.dispatched == 2 * recorders * records_per_thread
 
 
 class TestEngineBatchingBehaviour:
@@ -213,34 +271,27 @@ class TestEngineBatchingBehaviour:
         assert all(r.ok for r in responses)
 
     def test_run_many_coalesces_into_batched_forward_passes(self):
-        config = PipelineConfig(engine=EngineConfig(max_queue_delay_seconds=0.2))
         requests = [GenerateRequest(description=text, target="bank") for text in DESCRIPTIONS]
-        with FaultInjectionEngine(config) as engine:
-            responses = engine.run_many(requests)
+        with FaultInjectionEngine() as engine:
+            responses = engine.run_many(_held_until_submitted(engine, requests))
             stats = engine.serving_stats()
         generate_batches = [b for b in stats["batches"] if b["kind"] == "generate"]
-        assert sum(b["size"] for b in generate_batches) == len(requests)
-        # The whole burst coalesces into very few forward passes (one, unless
-        # the dispatch thread won the race for an early ticket).
-        assert len(generate_batches) <= 2
-        assert max(r.payload.batch_size for r in responses) >= len(requests) - 1
+        assert [b["size"] for b in generate_batches] == [len(requests)]
+        assert [r.payload.batch_size for r in responses] == [len(requests)] * len(requests)
 
     def test_mixed_targets_share_one_generate_batch(self):
-        config = PipelineConfig(engine=EngineConfig(max_queue_delay_seconds=0.2))
         requests = [
             GenerateRequest(description=DESCRIPTIONS[0], target="bank", request_id="a"),
             GenerateRequest(
                 description="Simulate a timeout in the put function", target="kvstore", request_id="b"
             ),
         ]
-        with FaultInjectionEngine(config) as engine:
-            responses = engine.run_many(requests)
+        with FaultInjectionEngine() as engine:
+            responses = engine.run_many(_held_until_submitted(engine, requests))
             stats = engine.serving_stats()
         assert all(r.ok for r in responses)
         generate_batches = [b for b in stats["batches"] if b["kind"] == "generate"]
-        assert any(set(b["targets"]) == {"bank", "kvstore"} for b in generate_batches) or len(
-            generate_batches
-        ) == 2
+        assert [b["targets"] for b in generate_batches] == [["bank", "kvstore"]]
 
     def test_stream_yields_every_response_as_it_completes(self):
         requests = [

@@ -19,7 +19,6 @@ from repro.api import FaultInjectionEngine, GenerateRequest
 from repro.config import (
     ChaosConfig,
     DistributedConfig,
-    EngineConfig,
     ExecutionConfig,
     ResilienceConfig,
 )
@@ -146,16 +145,18 @@ class TestDistributedChaosDifferential:
 class TestEngineChaosDifferential:
     def _engine(self, chaos: ChaosConfig | None) -> FaultInjectionEngine:
         resilience = ResilienceConfig(chaos=chaos) if chaos is not None else ResilienceConfig()
-        # A real coalescing window so all four requests always form ONE
-        # model/pool batch — deterministic grouping means deterministic
-        # chaos keys, making the differential run exactly repeatable.
         return FaultInjectionEngine(
-            PipelineConfig(
-                execution=ExecutionConfig(max_workers=2),
-                engine=EngineConfig(max_queue_delay_seconds=0.1),
-                resilience=resilience,
-            )
+            PipelineConfig(execution=ExecutionConfig(max_workers=2), resilience=resilience)
         )
+
+    @staticmethod
+    def _run_as_one_batch(engine: FaultInjectionEngine, requests) -> list:
+        # All requests queue before the first dispatch, so they always form
+        # ONE model/pool batch — deterministic grouping means deterministic
+        # chaos keys, making the differential run exactly repeatable.
+        with engine._scheduler.held():
+            handles = [engine.submit(request) for request in requests]
+        return [handle.result() for handle in handles]
 
     def test_served_results_are_byte_identical_under_chaos(self):
         requests = [
@@ -163,9 +164,9 @@ class TestEngineChaosDifferential:
             for text in DESCRIPTIONS
         ]
         with self._engine(None) as engine:
-            baseline = engine.run_many(requests)
+            baseline = self._run_as_one_batch(engine, requests)
         with self._engine(CHAOS) as engine:
-            chaotic = engine.run_many(requests)
+            chaotic = self._run_as_one_batch(engine, requests)
             stats = engine.execution_stats()
         assert all(r.ok for r in baseline)
         assert all(r.ok for r in chaotic)
@@ -181,9 +182,9 @@ class TestEngineChaosDifferential:
             for text in DESCRIPTIONS
         ]
         with self._engine(None) as engine:
-            baseline = engine.run_many(requests)
+            baseline = self._run_as_one_batch(engine, requests)
         with self._engine(CHAOS) as engine:
-            chaotic = engine.run_many(requests)
+            chaotic = self._run_as_one_batch(engine, requests)
             stats = engine.execution_stats()
         assert all(r.ok for r in baseline)
         assert all(r.ok for r in chaotic)

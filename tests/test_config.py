@@ -122,6 +122,10 @@ class TestPipelineConfig:
         ({"executon": {}}, "unknown pipeline field(s): executon"),
         ({"server": {"shards": 4}}, "unknown server field(s): shards"),
         ({"server": {"shard_queue_depth": 8}}, "unknown server field(s): shard_queue_depth"),
+        (
+            {"engine": {"max_queue_delay_seconds": 0.002}},
+            "unknown engine field(s): max_queue_delay_seconds",
+        ),
     ])
     def test_from_dict_names_the_section_and_field_it_does_not_know(self, data, named):
         with pytest.raises(ConfigurationError) as caught:

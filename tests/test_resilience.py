@@ -17,7 +17,7 @@ from repro import PipelineConfig
 from repro.api import ErrorInfo, FaultInjectionEngine, GenerateRequest, DatasetRequest
 from repro.api.responses import error_kind_for
 from repro.api.scheduler import ResponseHandle, Scheduler, Ticket
-from repro.config import ChaosConfig, EngineConfig, ExecutionConfig, ResilienceConfig
+from repro.config import ChaosConfig, ExecutionConfig, ResilienceConfig
 from repro.errors import (
     AdmissionError,
     CircuitOpenError,
@@ -365,7 +365,6 @@ class TestSchedulerResilience:
             dispatch_batch=lambda tickets: [blocking_single(t) for t in tickets],
             dispatch_single=blocking_single,
             max_batch_size=1,
-            max_queue_delay_seconds=0.0,
         )
 
     def test_cancel_recalls_a_queued_ticket(self):
@@ -449,10 +448,7 @@ class TestSupervisedPool:
 @pytest.mark.pool
 class TestEngineResilience:
     def _config(self) -> PipelineConfig:
-        return PipelineConfig(
-            execution=ExecutionConfig(max_workers=2),
-            engine=EngineConfig(max_queue_delay_seconds=0.0),
-        )
+        return PipelineConfig(execution=ExecutionConfig(max_workers=2))
 
     def test_open_breaker_degrades_generate_requests(self):
         with FaultInjectionEngine(self._config()) as engine:

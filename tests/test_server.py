@@ -30,7 +30,7 @@ from repro.api import (
     WirePayload,
     request_from_dict,
 )
-from repro.config import EngineConfig, ExecutionConfig
+from repro.config import ExecutionConfig
 from repro.errors import RequestError
 
 DESCRIPTION = "Simulate a timeout in the transfer function causing an unhandled exception"
@@ -232,10 +232,7 @@ class TestStatsCodec:
 @pytest.fixture(scope="module")
 def server():
     """One live server on an ephemeral port, shared by the socket tests."""
-    config = PipelineConfig(
-        execution=ExecutionConfig(max_workers=1),
-        engine=EngineConfig(max_queue_delay_seconds=0.0),
-    )
+    config = PipelineConfig(execution=ExecutionConfig(max_workers=1))
     with FaultInjectionServer(
         config=config, server_config=ServerConfig(port=0, request_retention=4)
     ) as live:
@@ -488,10 +485,7 @@ class TestLiveServer:
 
 class TestDrainOnShutdown:
     def test_close_resolves_pending_tickets_and_refuses_new_work(self):
-        config = PipelineConfig(
-            execution=ExecutionConfig(max_workers=1),
-            engine=EngineConfig(max_queue_delay_seconds=0.0),
-        )
+        config = PipelineConfig(execution=ExecutionConfig(max_workers=1))
         server = FaultInjectionServer(
             config=config, server_config=ServerConfig(port=0)
         ).start()

@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro import FaultInjectionServer, PipelineConfig, ServerConfig
-from repro.config import EngineConfig, ExecutionConfig, IntegrationConfig
+from repro.config import ExecutionConfig, IntegrationConfig
 
 DESCRIPTION = "Simulate a timeout in the transfer function causing an unhandled exception"
 
@@ -31,10 +31,7 @@ DEADLOCK = "Cause a deadlock in the withdraw function by acquiring the lock twic
 @pytest.fixture()
 def server():
     """A fresh live server per test (admission state must not leak across tests)."""
-    config = PipelineConfig(
-        execution=ExecutionConfig(max_workers=2),
-        engine=EngineConfig(max_queue_delay_seconds=0.0),
-    )
+    config = PipelineConfig(execution=ExecutionConfig(max_workers=2))
     with FaultInjectionServer(
         config=config,
         server_config=ServerConfig(port=0, max_queue_depth=1, retry_after_seconds=2.0),
@@ -101,7 +98,6 @@ class TestAdmissionControl:
         config = PipelineConfig(
             execution=ExecutionConfig(max_workers=1),
             integration=IntegrationConfig(test_timeout_seconds=3.0),
-            engine=EngineConfig(max_queue_delay_seconds=0.0),
         )
         server_config = ServerConfig(port=0, max_queue_depth=1, retry_after_seconds=2.0)
         execute = {"description": DESCRIPTION, "target": "bank", "execute": True}
@@ -229,8 +225,6 @@ def _spawn_chaotic_server() -> tuple[subprocess.Popen, str, int]:
             "pool",
             "--max-workers",
             "2",
-            "--queue-delay",
-            "0.002",
             "--chaos",
             "0.3",
         ],
