@@ -52,7 +52,7 @@ def evaluate_variant(name, train_examples, constrain, use_code, sft_epochs):
     validity = []
     for text in SCENARIOS:
         prompt, spec = build_prompt(text, source, use_code)
-        candidate = generator.generate(prompt)
+        candidate = generator.generate_batch([prompt])[0]
         accuracies.append(
             decision_accuracy(candidate.decisions.to_dict(), reference_decisions(spec).to_dict())
         )

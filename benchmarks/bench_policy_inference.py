@@ -6,13 +6,15 @@ trainer, and RLHF optimizers now run batched — matrix forward/backward passes,
 row-wise decoding, prompt-hash encoder caching, and render memoization.
 
 Three workloads are timed against the seed-style per-sample path (re-created
-here as verbatim reference loops over the per-sample APIs, with the caches
-disabled — exactly what the code did before vectorization):
+here as verbatim reference loops over the per-sample oracle in
+``tests/oracles/per_sample.py``, with the caches disabled — exactly what the
+code did before vectorization):
 
 * ``sft_epoch`` — supervised fine-tuning over the example set;
 * ``rlhf_round`` — one reward-model fit plus one policy-gradient update;
 * ``generation`` — repeated multi-prompt greedy generation (the alignment
-  probe every RLHF iteration performs).
+  probe every RLHF iteration performs): ``generate_batch`` against a loop of
+  one-prompt oracle generations.
 
 Each batched workload must beat its per-sample reference by >= 3x AND match
 it numerically to 1e-9 (losses, parameters, fault ids) — speed must not buy
@@ -22,7 +24,9 @@ drift.  ``BENCH_QUICK=1`` shrinks the workload sizes for CI smoke runs.
 from __future__ import annotations
 
 import os
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -36,6 +40,9 @@ from repro.rng import SeededRNG
 from repro.targets import get_target
 
 from conftest import write_result
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import per_sample  # noqa: E402
 
 QUICK = os.environ.get("BENCH_QUICK", "") not in ("", "0")
 
@@ -107,9 +114,9 @@ def per_sample_sft_train(generator, config, examples):
         batch = policy.zero_gradients()
         for position, index in enumerate(ordering):
             features, target = encoded[index]
-            forward = policy.forward(features)
+            forward = per_sample.forward(policy, features)
             epoch_loss += -forward.log_probability(target)
-            batch.add(policy.backward(forward, target))
+            per_sample.add_gradients(batch, per_sample.backward(policy, forward, target))
             if batch.examples >= config.batch_size or position == len(ordering) - 1:
                 policy.apply_gradients(batch, learning_rate=config.learning_rate)
                 batch = policy.zero_gradients()
@@ -139,8 +146,8 @@ def per_sample_policy_update(policy, reference, encoder, config, samples):
     encoded = []
     for sample in samples:
         features = encoder.encode(sample.prompt)
-        logprob = policy.log_probability(features, sample.decisions)
-        ref_logprob = reference.log_probability(features, sample.decisions)
+        logprob = per_sample.log_probability(policy, features, sample.decisions)
+        ref_logprob = per_sample.log_probability(reference, features, sample.decisions)
         shaped = sample.reward - beta * (logprob - ref_logprob)
         shaped_rewards.append(shaped)
         encoded.append((features, sample.decisions, shaped))
@@ -150,8 +157,10 @@ def per_sample_policy_update(policy, reference, encoder, config, samples):
     baseline = momentum * baseline + (1.0 - momentum) * batch_mean
     gradients = policy.zero_gradients()
     for features, decisions, shaped in encoded:
-        forward = policy.forward(features)
-        gradients.add(policy.backward(forward, decisions, scale=shaped - baseline))
+        forward = per_sample.forward(policy, features)
+        per_sample.add_gradients(
+            gradients, per_sample.backward(policy, forward, decisions, scale=shaped - baseline)
+        )
     policy.apply_gradients(gradients, learning_rate=config.policy_learning_rate)
 
 
@@ -200,8 +209,9 @@ def measure_rlhf_round(prompts):
     preferences = PreferenceDataset()
     samples = []
     rating_rng = SeededRNG(99, namespace="bench-ratings")
-    for prompt in prompts:
-        candidates = staging.candidates(prompt, count=CANDIDATES_PER_PROMPT)
+    for prompt, candidates in zip(
+        prompts, staging.candidates_batch(prompts, count=CANDIDATES_PER_PROMPT)
+    ):
         featurized = [
             (candidate.fault.fault_id, featurizer.featurize(prompt, candidate))
             for candidate in candidates
@@ -258,7 +268,7 @@ def measure_generation(prompts):
     serial_generator = FaultGenerator(ModelConfig(**UNCACHED))
     started = time.perf_counter()
     serial_rounds = [
-        [serial_generator.generate(prompt, greedy=True) for prompt in prompts]
+        [per_sample.generate(serial_generator, prompt, greedy=True) for prompt in prompts]
         for _round in range(GENERATION_ROUNDS)
     ]
     serial_seconds = time.perf_counter() - started

@@ -457,7 +457,7 @@ class FaultInjectionEngine:
         self, prompt: GenerationPrompt, greedy: bool = True, iteration: int = 0
     ) -> GenerationCandidate:
         """Stage 3: code generation."""
-        return self.generator.generate(prompt, greedy=greedy, iteration=iteration)
+        return self.generator.generate_batch([prompt], greedy=greedy, iteration=iteration)[0]
 
     def generate_faults(
         self, prompts: list[GenerationPrompt], greedy: bool = True, iteration: int = 0

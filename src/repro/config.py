@@ -33,7 +33,7 @@ class ModelConfig:
     :class:`~repro.llm.grammar.CodeGrammar`, and
     :class:`~repro.llm.compiled_grammar.GrammarCompiler` (LRU entries; ``0``
     disables a cache entirely, which the benchmarks use for the uncached
-    per-sample reference path).
+    generator their per-sample reference loops run on).
     """
 
     embedding_dim: int = 32

@@ -31,7 +31,7 @@ from .decoder import Decoder, DecodingResult
 from .features import FeatureEncoder
 from .generator import FaultGenerator, GenerationCandidate
 from .grammar import CodeGrammar, RenderedFault
-from .network import BatchForwardResult, ForwardResult, Gradients, PolicyNetwork
+from .network import BatchForwardResult, Gradients, PolicyNetwork
 from .sft import SFTExample, SFTReport, SFTTrainer
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "DecodingResult",
     "FaultGenerator",
     "FeatureEncoder",
-    "ForwardResult",
     "GenerationCandidate",
     "Gradients",
     "GrammarCompiler",

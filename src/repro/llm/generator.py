@@ -3,14 +3,15 @@
 :class:`FaultGenerator` composes the feature encoder, the policy network, the
 decoder, and the code grammar into one object with an LLM-like interface:
 
-* :meth:`generate` — produce one faulty code snippet for a prompt;
-* :meth:`candidates` — produce several diverse candidates (for RLHF ranking);
-* :meth:`logprob` — score a decision assignment under the current policy;
-* :meth:`fine_tune_step` — apply one supervised update (used by the SFT
-  trainer);
+* :meth:`generate_batch` — produce one faulty code snippet per prompt;
+* :meth:`candidates_batch` — produce several diverse candidates per prompt
+  (for RLHF ranking);
+* :meth:`prompt_distributions` / :meth:`decode_prompt` — the one generation
+  seam: a batched forward pass, then a per-row constrained decode.
 
 so the rest of the pipeline is agnostic to whether generations come from this
-offline policy or a hosted model.
+offline policy or a hosted model.  The one-prompt reference loops over the
+per-sample forward pass live in ``tests/oracles/per_sample.py``.
 """
 
 from __future__ import annotations
@@ -70,49 +71,6 @@ class FaultGenerator:
 
     # -- generation ---------------------------------------------------------------
 
-    def generate(
-        self,
-        prompt: GenerationPrompt,
-        greedy: bool = True,
-        iteration: int = 0,
-        temperature: float | None = None,
-    ) -> GenerationCandidate:
-        """Generate a single faulty code snippet for ``prompt``.
-
-        The decoder reads the raw policy distributions through the prompt's
-        cached :class:`~repro.llm.compiled_grammar.DecisionAutomaton`.
-        """
-        distributions = self.policy.forward(self.encoder.encode(prompt)).probabilities
-        automaton = self.compiler.compile(prompt)
-        if greedy:
-            decoding = self.decoder.greedy(distributions, automaton)
-        else:
-            decoding = self.decoder.sample(
-                distributions, temperature=temperature, automaton=automaton
-            )
-        return self._materialise(prompt, decoding, iteration)
-
-    def candidates(
-        self,
-        prompt: GenerationPrompt,
-        count: int,
-        iteration: int = 0,
-        temperature: float | None = None,
-    ) -> list[GenerationCandidate]:
-        """Generate ``count`` diverse candidates for tester review / ranking."""
-        distributions = self.policy.forward(self.encoder.encode(prompt)).probabilities
-        effective = temperature or max(self.config.temperature, 1.2)
-        decodings = self.decoder.diverse_candidates(
-            distributions, count, temperature=temperature,
-            automaton=self.compiler.compile(prompt),
-            plan=self.compiler.plan_for(
-                prompt, distributions, effective, self.config.top_k, self.config.top_p
-            ),
-        )
-        return [self._materialise(prompt, decoding, iteration, salt=str(i)) for i, decoding in enumerate(decodings)]
-
-    # -- batched generation -------------------------------------------------------
-
     def generate_batch(
         self,
         prompts: list[GenerationPrompt],
@@ -122,26 +80,25 @@ class FaultGenerator:
     ) -> list[GenerationCandidate]:
         """Generate one fault per prompt through a single batched forward pass.
 
-        All prompts are encoded into one feature matrix (cache-assisted), the
-        policy computes every per-slot distribution with one matmul per head,
-        and decoding runs batched.  Greedy batched generation produces exactly
-        the candidates the per-sample :meth:`generate` loop would; sampled
-        batched generation draws from the same distributions with a
-        batch-ordered RNG stream.
+        One :meth:`prompt_distributions` forward covers every prompt; each row
+        then decodes, in input order, through :meth:`decode_prompt` and the
+        prompt's cached automaton.  Sampling draws from the shared decoder
+        prompt by prompt, so a batch consumes the RNG stream exactly as a
+        loop of one-prompt calls does.
         """
         if not prompts:
             return []
-        distributions = self._raw_distributions_batch(prompts)
-        automatons = [self.compiler.compile(prompt) for prompt in prompts]
-        if greedy:
-            decodings = self.decoder.greedy_batch(distributions, automatons)
-        else:
-            decodings = self.decoder.sample_batch(
-                distributions, temperature=temperature, automatons=automatons
-            )
+        distributions = self.prompt_distributions(prompts)
         return [
-            self._materialise(prompt, decoding, iteration)
-            for prompt, decoding in zip(prompts, decodings)
+            self.decode_prompt(
+                prompt,
+                {slot: matrix[row] for slot, matrix in distributions.items()},
+                greedy=greedy,
+                temperature=temperature,
+                iteration=iteration,
+                automaton=self.compiler.compile(prompt),
+            )
+            for row, prompt in enumerate(prompts)
         ]
 
     def candidates_batch(
@@ -154,9 +111,9 @@ class FaultGenerator:
         """Diverse candidate sets for many prompts per forward batch.
 
         The forward pass is batched; candidate decoding then proceeds prompt
-        by prompt in input order, consuming the decoder RNG exactly as the
-        per-prompt :meth:`candidates` loop does — so for a given seed both
-        paths emit identical candidate sets.
+        by prompt in input order, consuming the decoder RNG exactly as a loop
+        of one-prompt calls does — so for a given seed both emit identical
+        candidate sets.
 
         The decode is *dedup-aware*: rows that repeat a prompt (same cache
         key and bit-identical distribution rows) share one compiled
@@ -169,7 +126,7 @@ class FaultGenerator:
         """
         if not prompts:
             return []
-        distributions = self._raw_distributions_batch(prompts)
+        distributions = self.prompt_distributions(prompts)
         effective = temperature or max(self.config.temperature, 1.2)
         shared: dict[str, tuple[dict, DecisionAutomaton, DecodePlan, DecodingResult]] = {}
         results: list[list[GenerationCandidate]] = []
@@ -210,10 +167,11 @@ class FaultGenerator:
     def prompt_distributions(self, prompts: list[GenerationPrompt]) -> dict:
         """Raw per-slot ``(B, |slot|)`` distributions for a prompt batch.
 
-        The continuous-batching scheduler uses this to run one batched forward
-        pass for every queued request, then decodes each row independently with
-        :meth:`decode_prompt` (per-request decode parameters and seeds), which
-        applies the prompt's constraints through its automaton.
+        :meth:`generate_batch` and the continuous-batching scheduler both run
+        one batched forward pass here, then decode each row independently
+        with :meth:`decode_prompt` (the scheduler with per-request decode
+        parameters and seeds), which applies the prompt's constraints through
+        its automaton.
 
         Args:
             prompts: The prompt batch.
@@ -222,7 +180,8 @@ class FaultGenerator:
             Slot name → ``(B, |slot|)`` probability matrix (read-only: the
             matrices belong to the forward result).
         """
-        return self._raw_distributions_batch(prompts)
+        features = self.encoder.encode_batch(prompts)
+        return self.policy.forward_batch(features).probabilities
 
     def decode_prompt(
         self,
@@ -277,46 +236,6 @@ class FaultGenerator:
                 plan=plan,
             )
         return self._materialise(prompt, decoding, iteration)
-
-    def logprob_batch(self, prompts: list[GenerationPrompt], decisions: list[DecisionVector]):
-        """Per-prompt joint log-probabilities through one batched forward pass."""
-        features = self.encoder.encode_batch(prompts)
-        return self.policy.log_probabilities_batch(features, decisions)
-
-    def _raw_distributions_batch(self, prompts: list[GenerationPrompt]) -> dict:
-        """Batched raw per-slot ``(B, |slot|)`` distributions (no constraint copies).
-
-        The decoder reads these through each prompt's automaton; callers must
-        treat the matrices as read-only (they belong to the forward result).
-        """
-        features = self.encoder.encode_batch(prompts)
-        return self.policy.forward_batch(features).probabilities
-
-    def render_decisions(
-        self, prompt: GenerationPrompt, decisions: DecisionVector, iteration: int = 0
-    ) -> GenerationCandidate:
-        """Render an explicit decision assignment (used by tests and ablations)."""
-        features = self.encoder.encode(prompt)
-        logprob = self.policy.log_probability(features, decisions)
-        decoding = DecodingResult(
-            decisions=decisions, logprob=logprob, slot_probabilities={}, strategy="forced"
-        )
-        return self._materialise(prompt, decoding, iteration)
-
-    def logprob(self, prompt: GenerationPrompt, decisions: DecisionVector) -> float:
-        """Joint log-probability of ``decisions`` for ``prompt`` under the policy."""
-        return self.policy.log_probability(self.encoder.encode(prompt), decisions)
-
-    # -- training hooks -----------------------------------------------------------
-
-    def fine_tune_step(self, prompt: GenerationPrompt, target: DecisionVector, learning_rate: float | None = None) -> float:
-        """One supervised update towards ``target``; returns the example NLL."""
-        features = self.encoder.encode(prompt)
-        forward = self.policy.forward(features)
-        loss = -forward.log_probability(target)
-        gradients = self.policy.backward(forward, target)
-        self.policy.apply_gradients(gradients, learning_rate=learning_rate)
-        return loss
 
     # -- internals ----------------------------------------------------------------
 

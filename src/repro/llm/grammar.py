@@ -480,10 +480,12 @@ class CodeGrammar:
     def _condition_predicate(condition: str, spec: FaultSpec) -> str:
         words = {word.strip(",.!?").lower() for word in condition.split()}
         negative_markers = {"empty", "missing", "none", "no", "not", "without", "unavailable"}
+        # The first component, in the spec's (sorted) order, that the
+        # condition names: a set's order would follow the string hash seed.
         components = spec.parameters.get("components", [])
-        candidates = list(words & set(components)) if components else []
-        if candidates:
-            name = candidates[0].replace(" ", "_")
+        named = [component for component in components if component in words]
+        if named:
+            name = named[0].replace(" ", "_")
             if words & negative_markers:
                 return f"not locals().get({name!r}, True)"
             return f"bool(locals().get({name!r}, True))"

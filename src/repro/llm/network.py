@@ -8,7 +8,9 @@ A compact multi-head neural network implemented directly in numpy:
 It exposes exactly the operations an API-backed LLM would need to expose for
 this methodology — conditional distributions over outputs, log-probabilities
 of a given output, supervised updates (fine-tuning), and policy-gradient
-updates (RLHF) — while remaining trainable in milliseconds on a CPU.
+updates (RLHF) — while remaining trainable in milliseconds on a CPU.  Every
+operation runs over a ``(B, feature_dim)`` batch; the one-example forward and
+backward passes they must match to 1e-9 live in ``tests/oracles/per_sample.py``.
 
 Gradients are computed analytically.  Both the supervised cross-entropy update
 and the REINFORCE update share the same backward pass: for a softmax head the
@@ -28,12 +30,6 @@ from ..config import ModelConfig
 from ..errors import ModelError
 from ..rng import SeededRNG
 from .decisions import DECISION_SLOTS, DecisionVector
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits)
-    exponents = np.exp(shifted)
-    return exponents / np.sum(exponents)
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -61,39 +57,13 @@ class Gradients:
     heads_b: dict[str, np.ndarray]
     examples: int = 0
 
-    def add(self, other: "Gradients") -> None:
-        self.w1 += other.w1
-        self.b1 += other.b1
-        for slot in self.heads_w:
-            self.heads_w[slot] += other.heads_w[slot]
-            self.heads_b[slot] += other.heads_b[slot]
-        self.examples += other.examples
-
-
-@dataclass
-class ForwardResult:
-    """Outputs of a forward pass: hidden activations and per-slot distributions."""
-
-    features: np.ndarray
-    hidden: np.ndarray
-    probabilities: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def log_probability(self, decisions: DecisionVector) -> float:
-        """Joint log-probability of a complete decision assignment."""
-        indices = decisions.to_indices()
-        total = 0.0
-        for slot, probs in self.probabilities.items():
-            total += float(np.log(probs[indices[slot]] + 1e-12))
-        return total
-
 
 @dataclass
 class BatchForwardResult:
     """Outputs of a batched forward pass over a ``(B, feature_dim)`` matrix.
 
     ``hidden`` is ``(B, hidden_dim)`` and each per-slot probability matrix is
-    ``(B, |slot|)``; row ``i`` matches :class:`ForwardResult` for example ``i``
-    exactly (same shift-by-max softmax, evaluated row-wise).
+    ``(B, |slot|)``, each row normalised by a shift-by-max softmax.
     """
 
     features: np.ndarray
@@ -103,14 +73,6 @@ class BatchForwardResult:
     @property
     def batch_size(self) -> int:
         return int(self.hidden.shape[0])
-
-    def row(self, index: int) -> ForwardResult:
-        """The per-sample view of one batch row (reference-oracle adapter)."""
-        return ForwardResult(
-            features=self.features[index],
-            hidden=self.hidden[index],
-            probabilities={slot: probs[index] for slot, probs in self.probabilities.items()},
-        )
 
     def log_probabilities(self, decisions: Sequence[DecisionVector]) -> np.ndarray:
         """Joint log-probability of one decision assignment per batch row."""
@@ -145,24 +107,10 @@ class PolicyNetwork:
 
     # -- inference ---------------------------------------------------------------
 
-    def forward(self, features: np.ndarray) -> ForwardResult:
-        """Compute per-slot probability distributions for one feature vector."""
-        if features.shape != (self.config.feature_dim,):
-            raise ModelError(
-                f"expected feature vector of shape ({self.config.feature_dim},), got {features.shape}"
-            )
-        hidden = np.tanh(self.w1 @ features + self.b1)
-        probabilities = {
-            slot: _softmax(self.heads_w[slot] @ hidden + self.heads_b[slot]) for slot in DECISION_SLOTS
-        }
-        return ForwardResult(features=features, hidden=hidden, probabilities=probabilities)
-
     def forward_batch(self, features: np.ndarray) -> BatchForwardResult:
         """Compute per-slot distributions for a whole ``(B, feature_dim)`` batch.
 
-        One ``tanh`` matmul and one softmax matmul per head replace ``B``
-        per-sample passes; row ``i`` of the result equals
-        ``self.forward(features[i])`` to floating-point noise.
+        One ``tanh`` matmul and one softmax matmul per head.
         """
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.config.feature_dim:
@@ -176,20 +124,11 @@ class PolicyNetwork:
         }
         return BatchForwardResult(features=features, hidden=hidden, probabilities=probabilities)
 
-    def log_probability(self, features: np.ndarray, decisions: DecisionVector) -> float:
-        """Joint log-probability of ``decisions`` given ``features``."""
-        return self.forward(features).log_probability(decisions)
-
     def log_probabilities_batch(
         self, features: np.ndarray, decisions: Sequence[DecisionVector]
     ) -> np.ndarray:
         """Joint log-probability of one decision assignment per feature row."""
         return self.forward_batch(features).log_probabilities(decisions)
-
-    def distributions(self, features: np.ndarray) -> dict[str, np.ndarray]:
-        """Per-slot probability vectors (copies safe for the decoder to modify)."""
-        result = self.forward(features)
-        return {slot: probs.copy() for slot, probs in result.probabilities.items()}
 
     # -- training ----------------------------------------------------------------
 
@@ -201,31 +140,6 @@ class PolicyNetwork:
             heads_b={slot: np.zeros_like(bias) for slot, bias in self.heads_b.items()},
         )
 
-    def backward(
-        self,
-        forward: ForwardResult,
-        decisions: DecisionVector,
-        scale: float = 1.0,
-        slot_weights: Mapping[str, float] | None = None,
-    ) -> Gradients:
-        """Gradient of ``scale * -log p(decisions)`` w.r.t. all parameters."""
-        gradients = self.zero_gradients()
-        indices = decisions.to_indices()
-        hidden_grad = np.zeros_like(forward.hidden)
-        for slot, probabilities in forward.probabilities.items():
-            weight = (slot_weights or {}).get(slot, 1.0)
-            logit_grad = probabilities.copy()
-            logit_grad[indices[slot]] -= 1.0
-            logit_grad *= scale * weight
-            gradients.heads_w[slot] += np.outer(logit_grad, forward.hidden)
-            gradients.heads_b[slot] += logit_grad
-            hidden_grad += self.heads_w[slot].T @ logit_grad
-        pre_activation_grad = hidden_grad * (1.0 - forward.hidden**2)
-        gradients.w1 += np.outer(pre_activation_grad, forward.features)
-        gradients.b1 += pre_activation_grad
-        gradients.examples = 1
-        return gradients
-
     def backward_batch(
         self,
         forward: BatchForwardResult,
@@ -235,9 +149,9 @@ class PolicyNetwork:
     ) -> Gradients:
         """Accumulated gradients of ``sum_i scales[i] * -log p(decisions[i])``.
 
-        Equivalent to summing :meth:`backward` over every batch row, but the
-        per-example ``np.outer`` rank-1 updates collapse into three matmuls per
-        head (``logit_grad.T @ hidden``, ``logit_grad @ W``, ``pre.T @ x``).
+        The per-example ``np.outer`` rank-1 updates collapse into three
+        matmuls per head (``logit_grad.T @ hidden``, ``logit_grad @ W``,
+        ``pre.T @ x``).
         """
         batch = forward.batch_size
         if len(decisions) != batch:
@@ -277,14 +191,6 @@ class PolicyNetwork:
             self.heads_b[slot] -= scale * gradients.heads_b[slot]
         self.version += 1
 
-    def nll(self, features: np.ndarray, decisions: DecisionVector) -> float:
-        """Negative log-likelihood of a decision assignment (training metric)."""
-        return -self.log_probability(features, decisions)
-
-    def nll_batch(self, features: np.ndarray, decisions: Sequence[DecisionVector]) -> np.ndarray:
-        """Per-example negative log-likelihoods for a whole batch."""
-        return -self.log_probabilities_batch(features, decisions)
-
     # -- cloning and state -------------------------------------------------------
 
     def clone(self) -> "PolicyNetwork":
@@ -317,25 +223,3 @@ class PolicyNetwork:
                 "checkpoint dimensions do not match the configured model "
                 f"(expected {(self.config.hidden_dim, self.config.feature_dim)}, got {self.w1.shape})"
             )
-
-    def kl_divergence(self, features: np.ndarray, reference: "PolicyNetwork") -> float:
-        """KL(self || reference) summed over decision slots for one prompt."""
-        own = self.forward(features).probabilities
-        other = reference.forward(features).probabilities
-        total = 0.0
-        for slot in DECISION_SLOTS:
-            p = own[slot]
-            q = other[slot]
-            total += float(np.sum(p * (np.log(p + 1e-12) - np.log(q + 1e-12))))
-        return total
-
-    def kl_divergence_batch(self, features: np.ndarray, reference: "PolicyNetwork") -> np.ndarray:
-        """Per-prompt KL(self || reference) for a whole feature matrix."""
-        own = self.forward_batch(features).probabilities
-        other = reference.forward_batch(features).probabilities
-        total = np.zeros(features.shape[0])
-        for slot in DECISION_SLOTS:
-            p = own[slot]
-            q = other[slot]
-            total += np.sum(p * (np.log(p + 1e-12) - np.log(q + 1e-12)), axis=1)
-        return total

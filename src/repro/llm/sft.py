@@ -6,6 +6,11 @@ description, original code, faulty code) triple.  Here the triples arrive as
 (:class:`GenerationPrompt`, :class:`DecisionVector`) pairs — the prompt built
 from the description and code, the decision vector recovered from the injected
 fault — and the trainer minimises the joint cross-entropy over decision slots.
+
+Training runs one batched forward/backward pair per minibatch; evaluation runs
+one batched forward pass and decodes each row greedily.  The per-example
+forward and backward passes the trainer is checked against to 1e-9 live in
+``tests/oracles/per_sample.py``.
 """
 
 from __future__ import annotations
@@ -68,8 +73,8 @@ class SFTTrainer:
     the whole minibatch's gradients, and one SGD step applies them.  The
     shuffle stream and update schedule are identical to per-sample training —
     the minibatch boundaries, learning rate, and gradient averaging match the
-    per-example loop to floating-point noise — so the vectorized trainer is a
-    drop-in replacement validated against the per-sample oracle in the tests.
+    per-example loop to floating-point noise, which the tests check against
+    the per-sample oracle.
     """
 
     def __init__(self, generator: FaultGenerator, config: SFTConfig | None = None) -> None:
@@ -112,12 +117,14 @@ class SFTTrainer:
         targets = [example.target for example in examples]
         forward = policy.forward_batch(features_matrix)
         total_nll = float(np.sum(-forward.log_probabilities(targets)))
-        unconstrained = [DecisionAutomaton.from_constraints({})] * len(examples)
-        decoded_batch = decoder.greedy_batch(forward.probabilities, unconstrained)
+        unconstrained = DecisionAutomaton.from_constraints({})
         exact = 0
         slot_hits = 0
         slot_total = 0
-        for decoded, target in zip(decoded_batch, targets):
+        for row, target in enumerate(targets):
+            decoded = decoder.greedy(
+                {slot: matrix[row] for slot, matrix in forward.probabilities.items()}, unconstrained
+            )
             target_map = target.to_dict()
             decoded_map = decoded.decisions.to_dict()
             if decoded_map == target_map:

@@ -11,7 +11,9 @@ InstructGPT recipe, scaled down to the decision-level policy:
 
 The gradient of the REINFORCE objective for a softmax head is the familiar
 ``(p - onehot(a)) * advantage``, so the update re-uses the policy network's
-cross-entropy backward pass with a per-sample scale factor.
+batched cross-entropy backward pass (``backward_batch``) with one scale factor
+per sample.  The per-sample update it must match lives in
+``tests/oracles/per_sample.py``.
 """
 
 from __future__ import annotations

@@ -93,23 +93,10 @@ def scalar_result(distributions: dict[str, np.ndarray], choices: dict[str, int],
     )
 
 
-def scalar_results(distributions: dict[str, np.ndarray], choices: dict[str, np.ndarray], strategy: str) -> list:
-    """:func:`scalar_result` for every row of a batch."""
-    batch = len(next(iter(choices.values())))
-    return [
-        scalar_result(
-            {slot: probs[row] for slot, probs in distributions.items()},
-            {slot: int(indices[row]) for slot, indices in choices.items()},
-            strategy,
-        )
-        for row in range(batch)
-    ]
-
-
 class InterpretedDecoder(Decoder):
     """:class:`~repro.llm.Decoder`'s signatures over the interpreted decode.
 
-    Each call constrains a copy of its distributions from the automatons'
+    Each call constrains a copy of its distributions from the automaton's
     ``forced`` slots and decodes that copy.  ``plan`` and ``first`` are
     accepted and ignored: the oracle re-derives every attempt.
     """
@@ -140,26 +127,6 @@ class InterpretedDecoder(Decoder):
             base = results[len(results) % unique]
             results.append(dataclasses.replace(base, strategy=f"{base.strategy}-duplicate"))
         return results[:count]
-
-    def greedy_batch(self, distributions, automatons):
-        constrained = one_hot_rows(distributions, [automaton.forced for automaton in automatons])
-        choices = {slot: np.argmax(probs, axis=1) for slot, probs in constrained.items()}
-        return scalar_results(constrained, choices, "greedy")
-
-    def sample_batch(self, distributions, temperature=None, top_k=None, top_p=None, *, automatons):
-        temperature, top_k, top_p = self._parameters(temperature, top_k, top_p)
-        if temperature <= 0:
-            raise GenerationError("temperature must be positive")
-        constrained = one_hot_rows(distributions, [automaton.forced for automaton in automatons])
-        choices = {}
-        for slot, probs in constrained.items():
-            adjusted = self._apply_temperature_rows(probs, temperature)
-            adjusted = self._truncate_rows(adjusted, top_k, top_p)
-            cumulative = np.cumsum(adjusted, axis=1)
-            draws = self._rng.generator.random(probs.shape[0])
-            indices = np.sum(cumulative <= draws[:, None], axis=1)
-            choices[slot] = np.minimum(indices, probs.shape[1] - 1)
-        return scalar_results(constrained, choices, "sample")
 
     def _parameters(self, temperature, top_k, top_p) -> tuple:
         return (

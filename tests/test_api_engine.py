@@ -33,6 +33,7 @@ from repro.rng import SeededRNG
 from repro.targets import get_target
 from repro.types import FailureMode, FaultDescription
 
+from oracles import per_sample
 from oracles.interpreted_decode import InterpretedDecoder
 
 DESCRIPTIONS = [
@@ -60,10 +61,11 @@ def _expected_payload_dict(
 ):
     """The payload a fresh, solo run through the old API produces.
 
-    Its generator decodes through the interpreted oracle, seeded like the
-    engine's per-request decoder: ``SeededRNG(seed, "pipeline")`` →
-    ``fork("generator")`` → ``fork("decoder")``, where no seed means the
-    pipeline seed.
+    Its generator runs the per-sample forward pass and decodes through the
+    interpreted oracle, seeded like the engine's per-request decoder:
+    ``SeededRNG(seed, "pipeline")`` → ``fork("generator")`` →
+    ``fork("decoder")``, where no seed means the pipeline seed.  So no part of
+    the reference runs through the production generation seam.
     """
     fresh = PipelineConfig.from_dict(config.to_dict())
     chain = SeededRNG(fresh.seed if seed is None else seed, namespace="pipeline")
@@ -74,7 +76,7 @@ def _expected_payload_dict(
         code = get_target(target).build_source()
         spec, context = legacy.define_fault(description, code=code)
         prompt = legacy.build_prompt(spec, context)
-        candidate = legacy.generate_fault(prompt, greedy=greedy)
+        candidate = per_sample.generate(legacy.generator, prompt, greedy=greedy)
     return GeneratePayload.from_candidate(candidate).deterministic_dict()
 
 

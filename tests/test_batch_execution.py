@@ -241,7 +241,7 @@ class TestRLHFBatchScoring:
 
     def test_review_batch_matches_serial_reviews(self, prompt, fault_generator):
         tester = SimulatedTester()
-        candidates = fault_generator.candidates(prompt, count=4)
+        candidates = fault_generator.candidates_batch([prompt], count=4)[0]
         serial = [tester.review(prompt.spec, candidate) for candidate in candidates]
         batched = tester.review_batch(prompt.spec, candidates)
         assert [f.to_dict() for f in batched] == [f.to_dict() for f in serial]
@@ -249,7 +249,7 @@ class TestRLHFBatchScoring:
     @pytest.mark.pool
     def test_executed_batch_matches_serial_execution(self, prompt, fault_generator):
         tester = SimulatedTester()
-        candidates = fault_generator.candidates(prompt, count=3)
+        candidates = fault_generator.candidates_batch([prompt], count=3)[0]
         config = IntegrationConfig(test_timeout_seconds=5.0, workload_iterations=10)
         serial_runner = ExperimentRunner("ecommerce", config=config)
         serial = [
@@ -266,7 +266,7 @@ class TestRLHFBatchScoring:
 
     def test_execution_evidence_only_lowers_ratings(self, prompt, fault_generator):
         tester = SimulatedTester()
-        candidates = fault_generator.candidates(prompt, count=3)
+        candidates = fault_generator.candidates_batch([prompt], count=3)[0]
         config = IntegrationConfig(test_timeout_seconds=5.0, workload_iterations=10)
         runner = ExperimentRunner("ecommerce", config=config)
         executed = tester.review_batch(prompt.spec, candidates, runner=runner, mode="inprocess")

@@ -1,8 +1,8 @@
 """Batched-vs-per-sample equivalence for the vectorized inference engine.
 
-The per-sample code paths (``PolicyNetwork.forward``/``backward``,
-``Decoder.greedy``/``sample``, the per-pair reward-model loop) are the
-reference oracles: every batched path must reproduce them to 1e-9.  The
+The per-sample model path in ``tests/oracles/per_sample.py`` (forward,
+backward, one-prompt generation loops) and the per-pair reward-model loop are
+the reference oracles: every batched path must reproduce them to 1e-9.  The
 reference implementations of the SFT epoch and the REINFORCE update live in
 this file as verbatim copies of the pre-vectorization loops.
 """
@@ -32,6 +32,8 @@ from repro.rlhf.policy_opt import PolicyOptimizer, RewardedSample
 from repro.rlhf.preference import PreferenceDataset
 from repro.rlhf.reward_model import RewardModel
 from repro.rng import SeededRNG
+
+from oracles import per_sample
 
 ATOL = 1e-9
 
@@ -83,7 +85,7 @@ class TestNetworkBatchEquivalence:
     def test_forward_batch_matches_per_sample(self, policy, features_matrix):
         batched = policy.forward_batch(features_matrix)
         for row in range(features_matrix.shape[0]):
-            single = policy.forward(features_matrix[row])
+            single = per_sample.forward(policy, features_matrix[row])
             assert np.allclose(batched.hidden[row], single.hidden, atol=ATOL)
             for slot in DECISION_SLOTS:
                 assert np.allclose(
@@ -94,14 +96,7 @@ class TestNetworkBatchEquivalence:
         batched = policy.log_probabilities_batch(features_matrix, decisions)
         for row, decision in enumerate(decisions):
             assert batched[row] == pytest.approx(
-                policy.log_probability(features_matrix[row], decision), abs=ATOL
-            )
-
-    def test_nll_batch_matches_per_sample(self, policy, features_matrix, decisions):
-        batched = policy.nll_batch(features_matrix, decisions)
-        for row, decision in enumerate(decisions):
-            assert batched[row] == pytest.approx(
-                policy.nll(features_matrix[row], decision), abs=ATOL
+                per_sample.log_probability(policy, features_matrix[row], decision), abs=ATOL
             )
 
     def test_backward_batch_matches_accumulated_per_sample(
@@ -114,9 +109,12 @@ class TestNetworkBatchEquivalence:
         )
         accumulated = policy.zero_gradients()
         for row, decision in enumerate(decisions):
-            forward = policy.forward(features_matrix[row])
-            accumulated.add(
-                policy.backward(forward, decision, scale=float(scales[row]), slot_weights=weights)
+            forward = per_sample.forward(policy, features_matrix[row])
+            per_sample.add_gradients(
+                accumulated,
+                per_sample.backward(
+                    policy, forward, decision, scale=float(scales[row]), slot_weights=weights
+                ),
             )
         assert batched.examples == accumulated.examples
         assert np.allclose(batched.w1, accumulated.w1, atol=ATOL)
@@ -125,17 +123,6 @@ class TestNetworkBatchEquivalence:
             assert np.allclose(batched.heads_w[slot], accumulated.heads_w[slot], atol=ATOL)
             assert np.allclose(batched.heads_b[slot], accumulated.heads_b[slot], atol=ATOL)
 
-    def test_kl_divergence_batch_matches_per_sample(self, policy, features_matrix, decisions):
-        reference = policy.clone()
-        for _ in range(5):
-            forward = policy.forward(features_matrix[0])
-            policy.apply_gradients(policy.backward(forward, decisions[0]), learning_rate=0.2)
-        batched = policy.kl_divergence_batch(features_matrix, reference)
-        for row in range(features_matrix.shape[0]):
-            assert batched[row] == pytest.approx(
-                policy.kl_divergence(features_matrix[row], reference), abs=ATOL
-            )
-
     def test_forward_batch_rejects_wrong_shape(self, policy):
         from repro.errors import ModelError
 
@@ -143,67 +130,12 @@ class TestNetworkBatchEquivalence:
             policy.forward_batch(np.zeros((4, 3)))
 
 
-#: Decoder equivalence tests decode unconstrained prompts.
+#: Decoder tests decode unconstrained prompts.
 FREE = DecisionAutomaton.from_constraints({})
 
 
-class TestDecoderBatchEquivalence:
-    def make_batch_distributions(self, policy, features_matrix):
-        return policy.forward_batch(features_matrix).probabilities
-
-    def test_greedy_batch_matches_per_sample(self, policy, features_matrix):
-        distributions = self.make_batch_distributions(policy, features_matrix)
-        decoder = Decoder()
-        batched = decoder.greedy_batch(distributions, [FREE] * len(features_matrix))
-        for row, result in enumerate(batched):
-            single = decoder.greedy({slot: probs[row] for slot, probs in distributions.items()}, FREE)
-            assert result.decisions == single.decisions
-            assert result.logprob == pytest.approx(single.logprob, abs=ATOL)
-            assert result.slot_probabilities == pytest.approx(single.slot_probabilities, abs=ATOL)
-
-    def test_sample_batch_is_deterministic_per_seed(self, policy, features_matrix):
-        distributions = self.make_batch_distributions(policy, features_matrix)
-        automatons = [FREE] * len(features_matrix)
-        first = Decoder(rng=SeededRNG(3)).sample_batch(distributions, temperature=0.9, automatons=automatons)
-        second = Decoder(rng=SeededRNG(3)).sample_batch(distributions, temperature=0.9, automatons=automatons)
-        assert [r.decisions for r in first] == [r.decisions for r in second]
-
-    def test_sample_batch_respects_one_hot_rows(self, policy, features_matrix):
-        batch = features_matrix.shape[0]
-        distributions = {
-            slot: np.tile(np.eye(len(values))[1], (batch, 1))
-            for slot, values in DECISION_SLOTS.items()
-        }
-        results = Decoder(rng=SeededRNG(5)).sample_batch(distributions, automatons=[FREE] * batch)
-        for result in results:
-            for slot, values in DECISION_SLOTS.items():
-                assert result.decisions.to_dict()[slot] == values[1]
-
-    def test_sample_batch_respects_truncated_support(self, policy, features_matrix):
-        distributions = self.make_batch_distributions(policy, features_matrix)
-        decoder = Decoder(rng=SeededRNG(11))
-        for _ in range(10):
-            results = decoder.sample_batch(distributions, top_k=2, automatons=[FREE] * len(features_matrix))
-            for row, result in enumerate(results):
-                for slot, probs in distributions.items():
-                    chosen = DECISION_SLOTS[slot].index(result.decisions.to_dict()[slot])
-                    top_two = set(np.argsort(probs[row])[-2:])
-                    assert chosen in top_two
-
-    def test_sample_batch_logprob_uses_untruncated_distribution(self, policy, features_matrix):
-        distributions = self.make_batch_distributions(policy, features_matrix)
-        automatons = [FREE] * len(features_matrix)
-        results = Decoder(rng=SeededRNG(13)).sample_batch(distributions, top_k=1, automatons=automatons)
-        for row, result in enumerate(results):
-            manual = sum(
-                float(np.log(distributions[slot][row][DECISION_SLOTS[slot].index(value)] + 1e-12))
-                for slot, value in result.decisions.to_dict().items()
-            )
-            assert result.logprob == pytest.approx(manual, abs=ATOL)
-
-
-class TestTruncationRowEquivalence:
-    """Row-wise truncation mirrors the per-sample helper, edge cases included."""
+class TestTruncation:
+    """``Decoder._truncate`` keeps a normalised top-k / nucleus support."""
 
     CASES = [
         {"top_k": None, "top_p": None},
@@ -219,25 +151,34 @@ class TestTruncationRowEquivalence:
     def rows(self):
         rng = np.random.default_rng(42)
         raw = rng.uniform(0.01, 1.0, size=(8, 5))
-        rows = raw / raw.sum(axis=1, keepdims=True)
-        # An all-zero row exercises the all-mass-truncated fallback (the
-        # per-sample helper returns the input distribution untouched).
-        rows[3] = 0.0
-        return rows
+        return raw / raw.sum(axis=1, keepdims=True)
 
     @pytest.mark.parametrize("case", CASES, ids=lambda c: f"k={c['top_k']}-p={c['top_p']}")
-    def test_truncate_rows_matches_per_sample(self, case):
-        rows = self.rows()
-        batched = Decoder._truncate_rows(rows, case["top_k"], case["top_p"])
-        for index in range(rows.shape[0]):
-            single = Decoder._truncate(rows[index], case["top_k"], case["top_p"])
-            assert np.allclose(batched[index], single, atol=ATOL), (case, index)
+    def test_truncate_keeps_the_most_likely_support(self, case):
+        top_k, top_p = case["top_k"], case["top_p"]
+        for probs in self.rows():
+            truncated = Decoder._truncate(probs, top_k, top_p)
+            assert truncated.sum() == pytest.approx(1.0, abs=ATOL)
+            kept = np.flatnonzero(truncated)
+            order = np.argsort(probs)[::-1]
+            # The support is a prefix of the descending order, renormalised.
+            assert set(kept) == set(order[: len(kept)])
+            assert np.allclose(truncated[kept], probs[kept] / probs[kept].sum(), atol=ATOL)
+            if top_k is not None:
+                assert len(kept) <= top_k
+            if top_k is None and top_p is not None and top_p < 1.0:
+                # The smallest prefix whose mass reaches the nucleus.
+                assert probs[kept].sum() >= top_p - ATOL
+                assert probs[kept].sum() - probs[kept].min() < top_p
+            if (top_k is None or top_k >= len(probs)) and (top_p is None or top_p >= 1.0):
+                assert len(kept) == len(probs)
 
-    def test_all_zero_row_falls_back_to_input(self):
-        rows = np.zeros((2, 4))
-        rows[0] = [0.25, 0.25, 0.25, 0.25]
-        batched = Decoder._truncate_rows(rows, 2, None)
-        assert np.allclose(batched[1], rows[1], atol=ATOL)
+    def test_vanished_mass_falls_back_to_input(self):
+        # No surviving mass returns the input distribution verbatim,
+        # unrenormalised, instead of dividing by zero.
+        probs = np.zeros(4)
+        truncated = Decoder._truncate(probs, 2, None)
+        assert truncated is probs
 
 
 class TestDiverseCandidatePadding:
@@ -300,9 +241,9 @@ class TestEncoderCache:
 class TestRenderCacheAndBatchedGeneration:
     def test_render_cache_hit_on_repeat(self, prompts):
         generator = FaultGenerator(ModelConfig())
-        first = generator.generate(prompts[0], greedy=True)
+        first = generator.generate_batch([prompts[0]], greedy=True)[0]
         before = generator.grammar.cache_info()["hits"]
-        second = generator.generate(prompts[0], greedy=True)
+        second = generator.generate_batch([prompts[0]], greedy=True)[0]
         assert generator.grammar.cache_info()["hits"] > before
         assert second.fault.code == first.fault.code
 
@@ -310,30 +251,65 @@ class TestRenderCacheAndBatchedGeneration:
         batched_generator = FaultGenerator(ModelConfig())
         serial_generator = FaultGenerator(ModelConfig())
         batched = batched_generator.generate_batch(prompts, greedy=True)
-        serial = [serial_generator.generate(prompt, greedy=True) for prompt in prompts]
+        serial = [per_sample.generate(serial_generator, prompt, greedy=True) for prompt in prompts]
         for left, right in zip(batched, serial):
             assert left.fault.fault_id == right.fault.fault_id
             assert left.decisions == right.decisions
             assert left.logprob == pytest.approx(right.logprob, abs=ATOL)
             assert left.fault.code == right.fault.code
 
+    def test_generate_batch_sampled_matches_per_prompt_loop(self, prompts):
+        # Sampled batches draw prompt by prompt from the shared decoder, so a
+        # batch equals a loop of one-prompt generations on a same-seeded
+        # generator, RNG stream included.
+        batched_generator = FaultGenerator(ModelConfig(), rng=SeededRNG(5, namespace="generator"))
+        serial_generator = FaultGenerator(ModelConfig(), rng=SeededRNG(5, namespace="generator"))
+        batched = batched_generator.generate_batch(prompts, greedy=False)
+        serial = [per_sample.generate(serial_generator, prompt, greedy=False) for prompt in prompts]
+        assert len(batched) == len(serial) == len(prompts)
+        for left, right in zip(batched, serial):
+            assert left.fault.fault_id == right.fault.fault_id
+            assert left.decisions == right.decisions
+            assert left.logprob == pytest.approx(right.logprob, abs=ATOL)
+            assert left.fault.code == right.fault.code
+        assert (
+            batched_generator.decoder._rng.generator.bit_generator.state
+            == serial_generator.decoder._rng.generator.bit_generator.state
+        )
+
+    def test_generate_batch_sampled_is_invariant_to_batching(self, prompts):
+        whole = FaultGenerator(ModelConfig(), rng=SeededRNG(9, namespace="generator"))
+        split = FaultGenerator(ModelConfig(), rng=SeededRNG(9, namespace="generator"))
+        batched = whole.generate_batch(prompts, greedy=False)
+        one_by_one = [split.generate_batch([prompt], greedy=False)[0] for prompt in prompts]
+        assert [c.fault.fault_id for c in batched] == [c.fault.fault_id for c in one_by_one]
+        assert [c.logprob for c in batched] == [c.logprob for c in one_by_one]
+
+    def test_generate_batch_decodes_through_decode_prompt(self, prompts, monkeypatch):
+        generator = FaultGenerator(ModelConfig())
+        decoded = []
+        original = generator.decode_prompt
+
+        def spy(prompt, distributions, *args, **kwargs):
+            decoded.append(prompt)
+            return original(prompt, distributions, *args, **kwargs)
+
+        monkeypatch.setattr(generator, "decode_prompt", spy)
+        generator.generate_batch(prompts, greedy=True)
+        generator.generate_batch(prompts, greedy=False)
+        assert decoded == list(prompts) * 2
+
     def test_candidates_batch_matches_per_prompt_loop(self, prompts):
         batched_generator = FaultGenerator(ModelConfig())
         serial_generator = FaultGenerator(ModelConfig())
         batched = batched_generator.candidates_batch(prompts, count=3)
-        serial = [serial_generator.candidates(prompt, count=3) for prompt in prompts]
+        serial = [per_sample.candidates(serial_generator, prompt, count=3) for prompt in prompts]
         assert len(batched) == len(serial)
         for batched_round, serial_round in zip(batched, serial):
             assert [c.fault.fault_id for c in batched_round] == [
                 c.fault.fault_id for c in serial_round
             ]
             assert [c.decisions for c in batched_round] == [c.decisions for c in serial_round]
-
-    def test_logprob_batch_matches_per_sample(self, prompts, decisions):
-        generator = FaultGenerator(ModelConfig())
-        batched = generator.logprob_batch(prompts, decisions)
-        for row, (prompt, decision) in enumerate(zip(prompts, decisions)):
-            assert batched[row] == pytest.approx(generator.logprob(prompt, decision), abs=ATOL)
 
     def test_generate_batch_empty(self):
         generator = FaultGenerator(ModelConfig())
@@ -355,9 +331,9 @@ def reference_sft_train(generator, config, examples):
         batch = policy.zero_gradients()
         for position, index in enumerate(ordering):
             features, target = encoded[index]
-            forward = policy.forward(features)
+            forward = per_sample.forward(policy, features)
             epoch_loss += -forward.log_probability(target)
-            batch.add(policy.backward(forward, target))
+            per_sample.add_gradients(batch, per_sample.backward(policy, forward, target))
             if batch.examples >= config.batch_size or position == len(ordering) - 1:
                 policy.apply_gradients(batch, learning_rate=config.learning_rate)
                 batch = policy.zero_gradients()
@@ -404,9 +380,9 @@ class TestSFTBatchedEquivalence:
         slot_hits = 0
         slot_total = 0
         for example in examples:
-            features = encoder.encode(example.prompt)
-            total_nll += policy.nll(features, example.target)
-            decoded = decoder.greedy(policy.distributions(features), FREE).decisions
+            forward = per_sample.forward(policy, encoder.encode(example.prompt))
+            total_nll += -forward.log_probability(example.target)
+            decoded = decoder.greedy(forward.probabilities, FREE).decisions
             target_map = example.target.to_dict()
             decoded_map = decoded.to_dict()
             if decoded_map == target_map:
@@ -429,8 +405,8 @@ def reference_policy_update(policy, reference, encoder, config, baseline_state, 
     encoded = []
     for sample in samples:
         features = encoder.encode(sample.prompt)
-        logprob = policy.log_probability(features, sample.decisions)
-        ref_logprob = reference.log_probability(features, sample.decisions)
+        logprob = per_sample.log_probability(policy, features, sample.decisions)
+        ref_logprob = per_sample.log_probability(reference, features, sample.decisions)
         kl_term = logprob - ref_logprob
         shaped = sample.reward - beta * kl_term
         shaped_rewards.append(shaped)
@@ -444,8 +420,10 @@ def reference_policy_update(policy, reference, encoder, config, baseline_state, 
     gradients = policy.zero_gradients()
     for features, decisions, shaped in encoded:
         advantage = shaped - baseline
-        forward = policy.forward(features)
-        gradients.add(policy.backward(forward, decisions, scale=advantage))
+        forward = per_sample.forward(policy, features)
+        per_sample.add_gradients(
+            gradients, per_sample.backward(policy, forward, decisions, scale=advantage)
+        )
     policy.apply_gradients(gradients, learning_rate=config.policy_learning_rate)
     return baseline
 
@@ -574,13 +552,18 @@ class TestRewardModelBatchedEquivalence:
         assert model.pairwise_accuracy(dataset) == pytest.approx(per_pair, abs=ATOL)
 
 
+def supervised_step(policy, features, target):
+    """One batched SGD step towards ``target`` on a one-row batch."""
+    forward = policy.forward_batch(features[None, :])
+    policy.apply_gradients(policy.backward_batch(forward, [target]))
+
+
 class TestCheckpointVersionRoundtrip:
     def test_state_dict_roundtrip_preserves_version(self, prompts, decisions, encoder):
         policy = PolicyNetwork(ModelConfig())
         features = encoder.encode(prompts[0])
         for _ in range(3):
-            forward = policy.forward(features)
-            policy.apply_gradients(policy.backward(forward, decisions[0]))
+            supervised_step(policy, features, decisions[0])
         assert policy.version == 3
         other = PolicyNetwork(ModelConfig())
         other.load_state(policy.state_dict())
@@ -590,8 +573,7 @@ class TestCheckpointVersionRoundtrip:
         policy = PolicyNetwork(ModelConfig())
         features = encoder.encode(prompts[0])
         for _ in range(5):
-            forward = policy.forward(features)
-            policy.apply_gradients(policy.backward(forward, decisions[0]))
+            supervised_step(policy, features, decisions[0])
         save_checkpoint(policy, tmp_path, name="versioned")
         restored = load_checkpoint(tmp_path, name="versioned")
         assert restored.version == policy.version == 5
@@ -599,7 +581,7 @@ class TestCheckpointVersionRoundtrip:
     def test_clone_preserves_version(self, prompts, decisions, encoder):
         policy = PolicyNetwork(ModelConfig())
         features = encoder.encode(prompts[0])
-        policy.apply_gradients(policy.backward(policy.forward(features), decisions[0]))
+        supervised_step(policy, features, decisions[0])
         assert policy.clone().version == policy.version == 1
 
     def test_legacy_state_without_version_leaves_version_alone(self):

@@ -4,6 +4,8 @@ The compiled path (automaton masks + jump-forward + CDF replay) must be
 observationally indistinguishable from the interpreted constrained decode in
 ``tests/oracles/interpreted_decode.py``: byte-identical rendered faults and an
 identical decoder RNG stream for every target and every decoding strategy.
+Both sides generate through the production seam (``generate_batch`` /
+``candidates_batch``); only the decoder differs.
 """
 
 from __future__ import annotations
@@ -62,6 +64,10 @@ def make_oracle(seed: int = 11) -> FaultGenerator:
     return interpreted_generator(ModelConfig(), SeededRNG(seed, namespace="generator"))
 
 
+def generate(generator: FaultGenerator, prompt, greedy: bool = True):
+    return generator.generate_batch([prompt], greedy=greedy)[0]
+
+
 def rng_state(generator: FaultGenerator):
     return generator.decoder._rng.generator.bit_generator.state
 
@@ -82,8 +88,8 @@ class TestDifferentialEquivalence:
         before = rng_state(compiled)
         for prompt in prompts:
             assert_same_candidate(
-                interpreted.generate(prompt, greedy=True),
-                compiled.generate(prompt, greedy=True),
+                generate(interpreted, prompt, greedy=True),
+                generate(compiled, prompt, greedy=True),
             )
         assert rng_state(compiled) == before
         assert rng_state(interpreted) == before
@@ -92,8 +98,8 @@ class TestDifferentialEquivalence:
         interpreted, compiled = make_oracle(), make_generator()
         for prompt in prompts:
             assert_same_candidate(
-                interpreted.generate(prompt, greedy=False),
-                compiled.generate(prompt, greedy=False),
+                generate(interpreted, prompt, greedy=False),
+                generate(compiled, prompt, greedy=False),
             )
             # The RNG streams stay aligned after *every* prompt, not just at
             # the end — each sampled slot consumes exactly one uniform.
@@ -102,7 +108,9 @@ class TestDifferentialEquivalence:
     def test_diverse_candidates_match(self, prompts):
         interpreted, compiled = make_oracle(), make_generator()
         for prompt in prompts:
-            for a, b in zip(interpreted.candidates(prompt, 4), compiled.candidates(prompt, 4)):
+            for a, b in zip(
+                interpreted.candidates_batch([prompt], 4)[0], compiled.candidates_batch([prompt], 4)[0]
+            ):
                 assert_same_candidate(a, b)
             assert rng_state(interpreted) == rng_state(compiled)
 
@@ -112,12 +120,7 @@ class TestDifferentialEquivalence:
             batch_a = interpreted.generate_batch(prompts, greedy=greedy)
             batch_b = compiled.generate_batch(prompts, greedy=greedy)
             for a, b in zip(batch_a, batch_b):
-                assert a.decisions == b.decisions
-                assert a.fault.fault_id == b.fault.fault_id
-                assert a.fault.code == b.fault.code
-                # Batch readback vectorizes the logprob sum; the library's
-                # established batched-vs-solo envelope applies.
-                assert a.logprob == pytest.approx(b.logprob, abs=1e-9)
+                assert_same_candidate(a, b)
             assert rng_state(interpreted) == rng_state(compiled)
 
     def test_candidates_batch_matches_with_duplicates(self, prompts):
@@ -135,8 +138,8 @@ class TestDifferentialEquivalence:
         directives = {"handling": "retry", "severity": "high"}
         prompt = prompt_builder.build(base.spec, base.context, feedback_directives=directives)
         interpreted, compiled = make_oracle(), make_generator()
-        a = interpreted.generate(prompt, greedy=True)
-        b = compiled.generate(prompt, greedy=True)
+        a = generate(interpreted, prompt, greedy=True)
+        b = generate(compiled, prompt, greedy=True)
         assert_same_candidate(a, b)
         assert b.decisions.handling == "retry"
         assert b.decisions.severity == "high"
@@ -163,9 +166,9 @@ class TestAutomaton:
         forced = len(automaton.forced)
         assert forced >= 1  # the confident spec pins the template slot
         before = automaton.jump_forward_taken
-        compiled.generate(prompt, greedy=True)
+        generate(compiled, prompt, greedy=True)
         assert automaton.jump_forward_taken == before + forced
-        compiled.generate(prompt, greedy=False)
+        generate(compiled, prompt, greedy=False)
         assert automaton.jump_forward_taken == before + 2 * forced
 
     def test_automaton_pins_what_constraint_slots_pin(self, prompts):
@@ -241,7 +244,7 @@ class TestDecodePlan:
         compiled = make_generator()
         prompt = prompts[0]
         automaton = compiled.compiler.compile(prompt)
-        raw = compiled.policy.forward(compiled.encoder.encode(prompt)).probabilities
+        raw = {slot: matrix[0] for slot, matrix in compiled.prompt_distributions([prompt]).items()}
         plan = DecodePlan.for_sampling(raw, automaton, temperature=1.0, top_k=None, top_p=None)
         for slot, index in automaton.forced.items():
             assert plan.forced[slot] == index

@@ -121,10 +121,10 @@ class TestDatasetToModelEndToEnd:
                 prompt = prepared_pipeline.build_prompt(spec, context)
                 expected = reference_decisions(spec).to_dict()
                 trained_score += decision_accuracy(
-                    trained_policy.generate(prompt).decisions.to_dict(), expected
+                    trained_policy.generate_batch([prompt])[0].decisions.to_dict(), expected
                 )
                 untrained_score += decision_accuracy(
-                    untrained.generate(prompt).decisions.to_dict(), expected
+                    untrained.generate_batch([prompt])[0].decisions.to_dict(), expected
                 )
         finally:
             trained_policy.config.constrain_to_spec = trained_constrain

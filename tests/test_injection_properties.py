@@ -186,8 +186,8 @@ def _prompt_pool():
 
 def _decode(generator, prompt, strategy):
     if strategy == "diverse":
-        return generator.candidates(prompt, 3)
-    return [generator.generate(prompt, greedy=strategy == "greedy")]
+        return generator.candidates_batch([prompt], 3)[0]
+    return generator.generate_batch([prompt], greedy=strategy == "greedy")
 
 
 class TestCompiledDecodeProperties:
@@ -223,7 +223,7 @@ class TestCompiledDecodeProperties:
         config = ModelConfig()
         generator = FaultGenerator(config, rng=SeededRNG(seed, namespace="generator"))
         automaton = generator.compiler.compile(prompt)
-        candidate = generator.generate(prompt, greedy=greedy)
+        candidate = generator.generate_batch([prompt], greedy=greedy)[0]
         decisions = candidate.decisions.to_dict()
         for slot, values in DECISION_SLOTS.items():
             assert automaton.allows(slot, values.index(decisions[slot]))

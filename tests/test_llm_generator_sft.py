@@ -20,31 +20,44 @@ from repro.llm import (
 )
 from repro.llm.compiled_grammar import feedback_forced_slots, spec_constraint
 
+from oracles import per_sample
+
+
+def generate(generator, prompt):
+    return generator.generate_batch([prompt])[0]
+
+
+def fine_tune_step(generator, prompt, target):
+    """One supervised SGD step towards ``target`` through the SFT trainer."""
+    SFTTrainer(generator, SFTConfig(epochs=1, shuffle=False)).train(
+        [SFTExample(prompt=prompt, target=target)]
+    )
+
 
 class TestFaultGenerator:
     def test_generate_produces_valid_fault(self, fault_generator, sample_prompt):
-        candidate = fault_generator.generate(sample_prompt)
+        candidate = generate(fault_generator, sample_prompt)
         ast.parse(candidate.fault.code)
         assert candidate.fault.fault_id.startswith("fault-")
         assert candidate.fault.actions == candidate.decisions.to_dict()
         assert candidate.fault.patch is not None
 
     def test_generation_is_deterministic_for_greedy(self, fault_generator, sample_prompt):
-        first = fault_generator.generate(sample_prompt)
-        second = fault_generator.generate(sample_prompt)
+        first = generate(fault_generator, sample_prompt)
+        second = generate(fault_generator, sample_prompt)
         assert first.fault.code == second.fault.code
         assert first.fault.fault_id == second.fault.fault_id
 
     def test_spec_constraint_pins_template(self, sample_prompt):
         constrained = FaultGenerator(ModelConfig(constrain_to_spec=True))
-        candidate = constrained.generate(sample_prompt)
+        candidate = generate(constrained, sample_prompt)
         assert candidate.decisions.template == sample_prompt.spec.fault_type.value
 
     def test_spec_constraint_can_be_disabled(self, sample_prompt):
         assert spec_constraint(sample_prompt, ModelConfig(constrain_to_spec=False)) == {}
 
     def test_candidates_are_diverse(self, fault_generator, sample_prompt):
-        candidates = fault_generator.candidates(sample_prompt, count=4)
+        candidates = fault_generator.candidates_batch([sample_prompt], count=4)[0]
         assert len(candidates) == 4
         ids = {candidate.fault.fault_id for candidate in candidates}
         assert len(ids) == 4
@@ -52,7 +65,7 @@ class TestFaultGenerator:
     def test_forced_slots_from_feedback(self, fault_generator, sample_prompt, prompt_builder):
         refined = prompt_builder.refine(sample_prompt, {"wants_retry": True})
         assert feedback_forced_slots(refined) == {"handling": "retry"}
-        candidate = fault_generator.generate(refined)
+        candidate = generate(fault_generator, refined)
         assert candidate.decisions.handling == "retry"
 
     def test_forced_slots_explicit_values(self, fault_generator, sample_prompt, prompt_builder):
@@ -67,23 +80,24 @@ class TestFaultGenerator:
             template="memory_leak", trigger="always", handling="unhandled",
             placement="body_start", severity="low",
         )
-        candidate = fault_generator.render_decisions(sample_prompt, decisions)
+        candidate = per_sample.render_decisions(fault_generator, sample_prompt, decisions)
         assert candidate.decisions == decisions
         assert "_injected_leak" in candidate.fault.code
 
     def test_logprob_is_finite(self, fault_generator, sample_prompt):
         decisions = reference_decisions(sample_prompt.spec)
-        assert fault_generator.logprob(sample_prompt, decisions) < 0.0
+        features = fault_generator.encoder.encode_batch([sample_prompt])
+        assert fault_generator.policy.log_probabilities_batch(features, [decisions])[0] < 0.0
 
     def test_model_version_tracks_training(self, fault_generator, sample_prompt):
         assert fault_generator.model_version == "policy-v0"
-        fault_generator.fine_tune_step(sample_prompt, reference_decisions(sample_prompt.spec))
+        fine_tune_step(fault_generator, sample_prompt, reference_decisions(sample_prompt.spec))
         assert fault_generator.model_version == "policy-v1"
 
     def test_no_patch_without_code_context(self, fault_generator, extractor, prompt_builder):
         spec = extractor.extract_from_text("simulate a timeout in the payment gateway")
         prompt = prompt_builder.build(spec, None)
-        candidate = fault_generator.generate(prompt)
+        candidate = generate(fault_generator, prompt)
         assert candidate.fault.patch is None
 
 
@@ -137,12 +151,12 @@ class TestSFT:
 class TestCheckpoints:
     def test_round_trip(self, tmp_path, fault_generator, sample_prompt):
         decisions = reference_decisions(sample_prompt.spec)
-        fault_generator.fine_tune_step(sample_prompt, decisions)
+        fine_tune_step(fault_generator, sample_prompt, decisions)
         save_checkpoint(fault_generator.policy, tmp_path, name="unit")
         restored = load_checkpoint(tmp_path, name="unit")
-        features = fault_generator.encoder.encode(sample_prompt)
-        assert restored.log_probability(features, decisions) == pytest.approx(
-            fault_generator.policy.log_probability(features, decisions)
+        features = fault_generator.encoder.encode_batch([sample_prompt])
+        assert restored.log_probabilities_batch(features, [decisions])[0] == pytest.approx(
+            fault_generator.policy.log_probabilities_batch(features, [decisions])[0]
         )
         assert restored.version == fault_generator.policy.version
 

@@ -9,7 +9,7 @@ import pytest
 from repro.llm import CodeGrammar, DecisionVector, reference_decisions
 from repro.llm.decisions import DECISION_SLOTS
 from repro.nlp import PromptBuilder
-from repro.types import FaultType
+from repro.types import FaultSpec, FaultType
 
 
 @pytest.fixture()
@@ -168,3 +168,62 @@ class TestPlacement:
     def test_original_body_is_preserved_for_body_start(self, grammar, sample_prompt):
         rendered = grammar.render(sample_prompt, decisions_for("delay", placement="body_start"))
         assert "compute_total(cart)" in rendered.function_source
+
+
+#: Renders a conditional fault whose condition names two components of its
+#: spec, and prints the function source.
+_RENDER_CONDITIONAL = """
+import dataclasses
+from repro.llm import CodeGrammar, DecisionVector
+from repro.nlp import CodeAnalyzer, FaultSpecExtractor, PromptBuilder
+from repro.targets import get_target
+
+source = get_target("bank").build_source()
+text = "Raise a timeout in withdraw when the account balance is empty"
+spec = FaultSpecExtractor().extract_from_text(text, source)
+spec = dataclasses.replace(spec, parameters={**spec.parameters, "components": ["account", "balance"]})
+analyzer = CodeAnalyzer()
+context = analyzer.analyze(source)
+analyzer.select_function(context, text, hint=spec.target.function)
+prompt = PromptBuilder().build(spec, context)
+decisions = DecisionVector(
+    template="timeout", trigger="conditional", handling="unhandled",
+    placement="body_start", severity="medium",
+)
+print(CodeGrammar().render(prompt, decisions).function_source, end="")
+"""
+
+
+class TestConditionalTrigger:
+    def render_under_hash_seed(self, seed: str) -> bytes:
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ)
+        env["PYTHONHASHSEED"] = seed
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parent.parent)
+        completed = subprocess.run(
+            [sys.executable, "-c", _RENDER_CONDITIONAL],
+            env=env,
+            capture_output=True,
+            check=True,
+            timeout=60,
+        )
+        return completed.stdout
+
+    def test_guard_binds_the_first_named_component_in_spec_order(self):
+        condition = "the account balance is empty"
+        for components in (["account", "balance"], ["balance", "account"]):
+            spec = FaultSpec(parameters={"components": components})
+            assert CodeGrammar._condition_predicate(condition, spec) == (
+                f"not locals().get({components[0]!r}, True)"
+            )
+
+    def test_render_does_not_depend_on_the_hash_seed(self):
+        # A set of the named components iterates in hash order: under these
+        # two seeds it put a different component first.
+        assert self.render_under_hash_seed("1") == self.render_under_hash_seed("4")

@@ -17,13 +17,16 @@ from repro.llm import (
 )
 from repro.rng import SeededRNG
 
+from oracles import per_sample
+
 #: Decoder unit tests decode unconstrained prompts.
 FREE = DecisionAutomaton.from_constraints({})
 
 
 @pytest.fixture()
 def encoded_prompt(sample_prompt):
-    return FeatureEncoder().encode(sample_prompt)
+    """A one-row ``(1, feature_dim)`` feature batch."""
+    return FeatureEncoder().encode(sample_prompt)[None, :]
 
 
 @pytest.fixture()
@@ -31,61 +34,71 @@ def policy():
     return PolicyNetwork(ModelConfig())
 
 
+def log_probability(policy, features, decisions) -> float:
+    return float(policy.log_probabilities_batch(features, [decisions])[0])
+
+
+def step(policy, features, decisions, scale=1.0, learning_rate=None):
+    """One batched gradient step on ``scale * -log p(decisions)``."""
+    forward = policy.forward_batch(features)
+    gradients = policy.backward_batch(forward, [decisions], scales=[scale])
+    policy.apply_gradients(gradients, learning_rate=learning_rate)
+
+
 class TestPolicyNetwork:
     def test_forward_produces_normalised_distributions(self, policy, encoded_prompt):
-        result = policy.forward(encoded_prompt)
+        result = policy.forward_batch(encoded_prompt)
         for slot, values in DECISION_SLOTS.items():
             probs = result.probabilities[slot]
-            assert probs.shape == (len(values),)
+            assert probs.shape == (1, len(values))
             assert np.all(probs >= 0)
             assert np.isclose(probs.sum(), 1.0)
 
     def test_wrong_feature_shape_rejected(self, policy):
         with pytest.raises(ModelError):
-            policy.forward(np.zeros(3))
+            policy.forward_batch(np.zeros(3))
+        with pytest.raises(ModelError):
+            policy.forward_batch(np.zeros((1, 3)))
 
-    def test_log_probability_matches_forward(self, policy, encoded_prompt, sample_prompt):
+    def test_log_probability_matches_per_sample_forward(self, policy, encoded_prompt, sample_prompt):
         decisions = reference_decisions(sample_prompt.spec)
-        forward = policy.forward(encoded_prompt)
-        assert policy.log_probability(encoded_prompt, decisions) == pytest.approx(
-            forward.log_probability(decisions)
+        forward = per_sample.forward(policy, encoded_prompt[0])
+        assert log_probability(policy, encoded_prompt, decisions) == pytest.approx(
+            forward.log_probability(decisions), abs=1e-9
         )
 
     def test_supervised_updates_increase_target_likelihood(self, policy, encoded_prompt, sample_prompt):
         target = reference_decisions(sample_prompt.spec)
-        before = policy.log_probability(encoded_prompt, target)
+        before = log_probability(policy, encoded_prompt, target)
         for _ in range(20):
-            forward = policy.forward(encoded_prompt)
-            policy.apply_gradients(policy.backward(forward, target), learning_rate=0.2)
-        after = policy.log_probability(encoded_prompt, target)
+            step(policy, encoded_prompt, target, learning_rate=0.2)
+        after = log_probability(policy, encoded_prompt, target)
         assert after > before
 
     def test_policy_gradient_scale_sign_controls_direction(self, policy, encoded_prompt, sample_prompt):
         target = reference_decisions(sample_prompt.spec)
-        before = policy.log_probability(encoded_prompt, target)
+        before = log_probability(policy, encoded_prompt, target)
         # Negative scale == negative advantage: the decisions should become LESS likely.
         for _ in range(10):
-            forward = policy.forward(encoded_prompt)
-            policy.apply_gradients(policy.backward(forward, target, scale=-1.0), learning_rate=0.2)
-        after = policy.log_probability(encoded_prompt, target)
+            step(policy, encoded_prompt, target, scale=-1.0, learning_rate=0.2)
+        after = log_probability(policy, encoded_prompt, target)
         assert after < before
 
     def test_clone_is_independent(self, policy, encoded_prompt, sample_prompt):
         clone = policy.clone()
         target = reference_decisions(sample_prompt.spec)
         for _ in range(10):
-            forward = policy.forward(encoded_prompt)
-            policy.apply_gradients(policy.backward(forward, target))
-        assert clone.log_probability(encoded_prompt, target) != pytest.approx(
-            policy.log_probability(encoded_prompt, target)
+            step(policy, encoded_prompt, target)
+        assert log_probability(clone, encoded_prompt, target) != pytest.approx(
+            log_probability(policy, encoded_prompt, target)
         )
 
     def test_state_round_trip(self, policy, encoded_prompt, sample_prompt):
         target = reference_decisions(sample_prompt.spec)
         other = PolicyNetwork(ModelConfig())
         other.load_state(policy.state_dict())
-        assert other.log_probability(encoded_prompt, target) == pytest.approx(
-            policy.log_probability(encoded_prompt, target)
+        assert log_probability(other, encoded_prompt, target) == pytest.approx(
+            log_probability(policy, encoded_prompt, target)
         )
 
     def test_load_state_dimension_mismatch(self, policy):
@@ -93,27 +106,17 @@ class TestPolicyNetwork:
         with pytest.raises(ModelError):
             policy.load_state(other.state_dict())
 
-    def test_kl_divergence_zero_against_itself(self, policy, encoded_prompt):
-        assert policy.kl_divergence(encoded_prompt, policy) == pytest.approx(0.0, abs=1e-9)
-
-    def test_kl_divergence_positive_after_training(self, policy, encoded_prompt, sample_prompt):
-        reference = policy.clone()
-        target = reference_decisions(sample_prompt.spec)
-        for _ in range(15):
-            forward = policy.forward(encoded_prompt)
-            policy.apply_gradients(policy.backward(forward, target), learning_rate=0.3)
-        assert policy.kl_divergence(encoded_prompt, reference) > 0.0
-
     def test_version_increments_on_update(self, policy, encoded_prompt, sample_prompt):
         target = reference_decisions(sample_prompt.spec)
         version = policy.version
-        policy.apply_gradients(policy.backward(policy.forward(encoded_prompt), target))
+        step(policy, encoded_prompt, target)
         assert policy.version == version + 1
 
 
 class TestDecoder:
     def make_distributions(self, policy, encoded_prompt):
-        return policy.distributions(encoded_prompt)
+        forward = policy.forward_batch(encoded_prompt)
+        return {slot: probs[0] for slot, probs in forward.probabilities.items()}
 
     def test_greedy_picks_argmax(self, policy, encoded_prompt):
         distributions = self.make_distributions(policy, encoded_prompt)

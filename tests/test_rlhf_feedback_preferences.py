@@ -160,7 +160,7 @@ class TestRewardModel:
 class TestCandidateFeaturizer:
     def test_dimension_and_decision_encoding(self, fault_generator, sample_prompt):
         featurizer = CandidateFeaturizer(fault_generator.encoder)
-        candidate = fault_generator.generate(sample_prompt)
+        candidate = fault_generator.generate_batch([sample_prompt])[0]
         features = featurizer.featurize(sample_prompt, candidate)
         assert features.shape == (featurizer.dimension,)
         # Exactly one decision per slot is one-hot encoded.
@@ -169,6 +169,6 @@ class TestCandidateFeaturizer:
 
     def test_different_candidates_have_different_features(self, fault_generator, sample_prompt):
         featurizer = CandidateFeaturizer(fault_generator.encoder)
-        candidates = fault_generator.candidates(sample_prompt, count=3)
+        candidates = fault_generator.candidates_batch([sample_prompt], count=3)[0]
         encoded = [featurizer.featurize(sample_prompt, candidate) for candidate in candidates]
         assert not np.allclose(encoded[0], encoded[1]) or not np.allclose(encoded[0], encoded[2])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.config import ModelConfig, RLHFConfig
@@ -17,6 +18,8 @@ from repro.rlhf import (
 )
 from repro.rlhf import tester_pool as make_tester_pool  # aliased: pytest collects `test*` names
 from repro.types import HandlingStyle, TriggerKind
+
+from oracles import per_sample
 
 
 @pytest.fixture()
@@ -44,7 +47,7 @@ class TestSimulatedTester:
     def test_perfect_candidate_gets_top_rating(self, fault_generator, sample_prompt):
         tester = SimulatedTester()
         expected = tester.expectation(sample_prompt.spec)
-        candidate = fault_generator.render_decisions(sample_prompt, expected)
+        candidate = per_sample.render_decisions(fault_generator, sample_prompt, expected)
         assert tester.rate(sample_prompt.spec, candidate) == pytest.approx(5.0)
         review = tester.review(sample_prompt.spec, candidate)
         assert review.accept
@@ -52,7 +55,9 @@ class TestSimulatedTester:
 
     def test_mismatch_produces_actionable_critique(self, fault_generator, sample_prompt):
         tester = SimulatedTester(profile=PreferenceProfile(name="r", preferred_handling=HandlingStyle.RETRY))
-        wrong = fault_generator.render_decisions(sample_prompt, reference_decisions(sample_prompt.spec))
+        wrong = per_sample.render_decisions(
+            fault_generator, sample_prompt, reference_decisions(sample_prompt.spec)
+        )
         review = tester.review(sample_prompt.spec, wrong)
         assert not review.accept
         assert "retry" in review.critique
@@ -61,7 +66,8 @@ class TestSimulatedTester:
         tester = SimulatedTester()
         from repro.llm import DecisionVector
 
-        wrong = fault_generator.render_decisions(
+        wrong = per_sample.render_decisions(
+            fault_generator,
             sample_prompt,
             DecisionVector(template="memory_leak", trigger="always", handling="unhandled",
                            placement="body_start", severity="medium"),
@@ -71,7 +77,7 @@ class TestSimulatedTester:
 
     def test_rank_orders_by_rating(self, fault_generator, sample_prompt):
         tester = SimulatedTester()
-        candidates = fault_generator.candidates(sample_prompt, count=4)
+        candidates = fault_generator.candidates_batch([sample_prompt], count=4)[0]
         ranked = tester.rank(sample_prompt.spec, candidates)
         ratings = [tester.rate(sample_prompt.spec, candidate) for candidate in ranked]
         assert ratings == sorted(ratings, reverse=True)
@@ -94,10 +100,10 @@ class TestPolicyOptimizer:
         generator = FaultGenerator(ModelConfig(constrain_to_spec=False))
         optimizer = PolicyOptimizer(generator.policy, generator.encoder, RLHFConfig(policy_learning_rate=0.3))
         good = reference_decisions(sample_prompt.spec)
-        features = generator.encoder.encode(sample_prompt)
-        before = generator.policy.log_probability(features, good)
+        features = generator.encoder.encode_batch([sample_prompt])
+        before = generator.policy.log_probabilities_batch(features, [good])[0]
         for _ in range(10):
-            candidates = generator.candidates(sample_prompt, count=4, temperature=1.5)
+            candidates = generator.candidates_batch([sample_prompt], count=4, temperature=1.5)[0]
             samples = [
                 RewardedSample(
                     prompt=sample_prompt,
@@ -107,7 +113,7 @@ class TestPolicyOptimizer:
                 for candidate in candidates
             ]
             optimizer.update(samples)
-        after = generator.policy.log_probability(features, good)
+        after = generator.policy.log_probabilities_batch(features, [good])[0]
         assert after > before
 
     def test_empty_update_is_noop(self, fault_generator):
@@ -117,7 +123,7 @@ class TestPolicyOptimizer:
 
     def test_kl_is_zero_on_first_update_against_fresh_reference(self, fault_generator, sample_prompt):
         optimizer = PolicyOptimizer(fault_generator.policy, fault_generator.encoder)
-        candidate = fault_generator.generate(sample_prompt)
+        candidate = fault_generator.generate_batch([sample_prompt])[0]
         stats = optimizer.update(
             [RewardedSample(prompt=sample_prompt, decisions=candidate.decisions, reward=1.0)]
         )
@@ -126,11 +132,16 @@ class TestPolicyOptimizer:
 
     def test_reset_reference(self, fault_generator, sample_prompt):
         optimizer = PolicyOptimizer(fault_generator.policy, fault_generator.encoder)
-        candidate = fault_generator.generate(sample_prompt)
-        optimizer.update([RewardedSample(prompt=sample_prompt, decisions=candidate.decisions, reward=1.0)])
+        candidate = fault_generator.generate_batch([sample_prompt])[0]
+        sample = RewardedSample(prompt=sample_prompt, decisions=candidate.decisions, reward=1.0)
+        optimizer.update([sample])
         optimizer.reset_reference()
-        features = fault_generator.encoder.encode(sample_prompt)
-        assert fault_generator.policy.kl_divergence(features, optimizer.reference) == pytest.approx(0.0, abs=1e-9)
+        reference = optimizer.reference
+        assert reference is not fault_generator.policy
+        for key, value in fault_generator.policy.state_dict().items():
+            assert np.array_equal(reference.state_dict()[key], value), key
+        # The next update measures its KL against the refrozen reference.
+        assert optimizer.update([sample]).mean_kl == pytest.approx(0.0, abs=1e-9)
 
 
 class TestRLHFTrainer:
